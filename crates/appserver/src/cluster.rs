@@ -3524,6 +3524,47 @@ mod tests {
     }
 
     #[test]
+    fn load_and_migration_keep_leader_caches_equal_to_their_dumps() {
+        let mut c = Cluster::new(ClusterConfig {
+            seed: 42,
+            shards: 2,
+            followers: 1,
+            ack_replicas: 1,
+            ..ClusterConfig::default()
+        });
+        let caches_match = |c: &Cluster| {
+            c.shards
+                .iter()
+                .filter_map(|sh| sh.leader.as_ref())
+                .all(AppServer::cache_equals_dump)
+        };
+        for i in 0..12 {
+            c.load(&format!("m{i}.xml"), &format!("<root n=\"{i}\"/>"))
+                .unwrap();
+            assert!(caches_match(&c), "after loading m{i}.xml");
+        }
+        c.add_shard(0);
+        // writes keep landing while documents are in flight, so some copies
+        // are re-installed with the forwarded tail; every tick (copy
+        // install, tail forward, acked write) must leave the caches exact
+        let mut now = 0;
+        while c.migrations_in_flight() > 0 {
+            if now % 20 == 0 {
+                let uri = format!("m{}.xml", now / 20 % 12);
+                let _ = c.submit(&update_url(&uri, &format!("t{now}")), now);
+            }
+            now += 1;
+            c.advance(now);
+            assert!(caches_match(&c), "at t={now}");
+            assert!(now < 100_000, "migrations never settled");
+        }
+        let rs = c.reshard_stats();
+        assert!(rs.docs_moved > 0, "nothing migrated");
+        assert!(rs.tail_frames_forwarded > 0, "no copy was re-installed");
+        assert!(caches_match(&c), "after migration");
+    }
+
+    #[test]
     fn decommission_drains_documents_and_retires_the_seats() {
         let mut c = Cluster::new(ClusterConfig {
             seed: 42,

@@ -5,10 +5,12 @@
 //! [`AppServer::handle_budgeted`]): the evaluator is preempted with
 //! `XQIB0014` once the budget is spent, which the HTTP layer maps to 504.
 //! The server also keeps whole-document snapshots of every bound document
-//! (refreshed after successful updates) so the request governor can degrade
-//! render-class requests to a cached snapshot instead of failing them —
-//! the paper's own "serve whole documents rather than individual queries
-//! to documents" caching argument (§6.1).
+//! so the request governor can degrade render-class requests to a cached
+//! snapshot instead of failing them — the paper's own "serve whole
+//! documents rather than individual queries to documents" caching argument
+//! (§6.1). A refresh re-serialises only the documents changed since the
+//! previous one ([`XmlDb::take_changed`]), so a write costs the documents
+//! it touches, not the whole store.
 
 use std::collections::HashMap;
 
@@ -78,9 +80,12 @@ pub struct AppServer {
     /// reports the delta from here.
     engine_baseline: EngineStats,
     /// Whole-document snapshots by URI: the degradation cache. Refreshed at
-    /// construction and after every successful `/update`, so a degraded
-    /// response is always a well-formed document the server once served —
-    /// possibly stale, never torn.
+    /// construction and after every successful `/update`, each time equal
+    /// to a full dump of the store, so a degraded response is always a
+    /// well-formed document the server once served — possibly stale, never
+    /// torn. A refresh re-serialises only the documents the database
+    /// reports changed since the previous refresh, whatever route changed
+    /// them.
     snapshots: HashMap<String, String>,
 }
 
@@ -127,9 +132,22 @@ impl AppServer {
         server
     }
 
-    /// Re-serialises every bound document into the degradation cache.
+    /// Brings the degradation cache up to date with the store: documents
+    /// changed since the last refresh are re-serialised, unbound ones
+    /// dropped.
     pub fn refresh_snapshots(&mut self) {
-        self.snapshots = self.db.dump().into_iter().collect();
+        for (uri, xml) in self.db.take_changed() {
+            match xml {
+                Some(xml) => self.snapshots.insert(uri, xml),
+                None => self.snapshots.remove(&uri),
+            };
+        }
+    }
+
+    /// Whether the degradation cache equals a full dump of the store.
+    #[cfg(test)]
+    pub(crate) fn cache_equals_dump(&self) -> bool {
+        self.snapshots == self.db.dump().into_iter().collect::<HashMap<_, _>>()
     }
 
     /// The cached whole-document snapshot a degraded request falls back to:
@@ -504,6 +522,125 @@ mod tests {
         s.handle("/update?xq=insert+node+%3Cnote%3Ehi%3C%2Fnote%3E+into+doc(%27corpus.xml%27)%2F*");
         let snap = s.degraded_snapshot("/index").unwrap();
         assert!(snap.body.contains("<note>hi</note>"));
+    }
+
+    /// `/route?xq=<percent-encoded src>`.
+    fn xq_url(route: &str, src: &str) -> String {
+        let enc: String = src
+            .bytes()
+            .map(|b| match b {
+                b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' => (b as char).to_string(),
+                _ => format!("%{b:02X}"),
+            })
+            .collect();
+        format!("{route}?xq={enc}")
+    }
+
+    /// One step of the differential sequence below, against `doc`; `n`
+    /// tags written nodes so every write is distinct. Returns the step's
+    /// label and whether it refreshed the cache.
+    fn drive(s: &mut AppServer, kind: u8, doc: &str, n: u8) -> (String, bool) {
+        let into = format!("doc('{doc}')/*");
+        match kind {
+            0 => {
+                let r = s.handle(&xq_url(
+                    "/update",
+                    &format!("insert node <i n=\"{n}\"/> into {into}"),
+                ));
+                (format!("update {doc}: {}", r.status), r.status == 200)
+            }
+            1 => {
+                // fails before applying anything (conflicting renames)
+                let r = s.handle(&xq_url(
+                    "/update",
+                    &format!("(rename node {into} as 'a', rename node {into} as 'b')"),
+                ));
+                assert_ne!(r.status, 200);
+                (format!("conflicting update {doc}"), false)
+            }
+            2 => {
+                // fails after its first statement's PUL was applied
+                let r = s.handle(&xq_url(
+                    "/update",
+                    &format!("{{ insert node <half n=\"{n}\"/> into {into}; 1 div 0 }}"),
+                ));
+                assert_ne!(r.status, 200);
+                (format!("half-applied script {doc}"), false)
+            }
+            3 => {
+                let (r, _) = s.handle_budgeted(
+                    &xq_url("/update", &format!("delete node {into}/*[1]")),
+                    Some(3),
+                );
+                assert_eq!(r.status, 504, "{}", r.body);
+                (format!("deadline-killed update {doc}"), false)
+            }
+            4 => {
+                s.handle(&xq_url(
+                    "/query",
+                    &format!("replace value of node {into}/@n with '{n}'"),
+                ));
+                (format!("updating query {doc}"), false)
+            }
+            5 => {
+                s.db.load(doc, &format!("<cart n=\"{n}\"><i/></cart>"))
+                    .unwrap();
+                (format!("load {doc}"), false)
+            }
+            6 => {
+                // rewrites the style attribute in place, outside any PUL
+                s.handle(&xq_url(
+                    "/query",
+                    &format!("set style 'color' of {into} to 'c{n}'"),
+                ));
+                (format!("set style {doc}"), false)
+            }
+            _ => {
+                s.refresh_snapshots();
+                ("refresh".to_string(), true)
+            }
+        }
+    }
+
+    proptest! {
+        /// Differential test of the incremental degradation cache: random
+        /// successful, failing, half-applied and deadline-killed updates,
+        /// updating queries, `set style` rewrites and loads, against an ephemeral and a durable
+        /// server (small checkpoint threshold, so checkpoints interleave).
+        /// After every refresh the cache equals a full dump.
+        #[test]
+        fn incremental_cache_refresh_equals_full_dump(
+            ops in prop::collection::vec((0u8..8, 0usize..3, any::<u8>()), 1..24),
+        ) {
+            let corpus = generate_corpus(&CorpusSpec {
+                journals: 1,
+                volumes_per_journal: 1,
+                issues_per_volume: 1,
+                articles_per_issue: 2,
+                ..CorpusSpec::default()
+            });
+            let cfg = DurabilityConfig {
+                group_commit: 2,
+                checkpoint_threshold: 4096,
+            };
+            let mut servers = [
+                AppServer::new(&corpus).unwrap(),
+                AppServer::new_durable(&corpus, VirtualDisk::new(), cfg).unwrap(),
+            ];
+            let docs = [render::CORPUS_URI, "a.xml", "b.xml"];
+            for s in &mut servers {
+                prop_assert!(s.cache_equals_dump(), "after construction");
+                for (i, &(kind, doc, n)) in ops.iter().enumerate() {
+                    let before = s.snapshots.clone();
+                    let (step, refreshed) = drive(s, kind, docs[doc], n);
+                    if refreshed {
+                        prop_assert!(s.cache_equals_dump(), "cache diverged after step {} ({})", i, step);
+                    } else {
+                        prop_assert!(s.snapshots == before, "step {} ({}) refreshed the cache", i, step);
+                    }
+                }
+            }
+        }
     }
 
     // ----- split_url / param edge cases -------------------------------------

@@ -22,7 +22,6 @@
 //! frame — is idempotent even when a crash lands between the checkpoint
 //! write and the log truncation.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -161,6 +160,10 @@ pub struct XmlDb {
     /// (durable mode only): what the read path and the scrubber verify
     /// served bytes against.
     digests: BTreeMap<String, u64>,
+    /// Documents changed since the last [`Self::take_changed`], each with
+    /// the serialisation its digest seal hashed, if one was made after its
+    /// last change.
+    changed: BTreeMap<String, Option<String>>,
 }
 
 impl Default for XmlDb {
@@ -180,6 +183,7 @@ impl XmlDb {
             plan_mode: true,
             durable: None,
             digests: BTreeMap::new(),
+            changed: BTreeMap::new(),
         }
     }
 
@@ -207,6 +211,7 @@ impl XmlDb {
                 stats: DurabilityStats::default(),
             }),
             digests: BTreeMap::new(),
+            changed: BTreeMap::new(),
         }
     }
 
@@ -283,6 +288,12 @@ impl XmlDb {
         if torn {
             stats.torn_tails_dropped = 1;
         }
+        let changed = store
+            .borrow()
+            .uri_bindings()
+            .into_iter()
+            .map(|(uri, _)| (uri, None))
+            .collect();
         Ok(XmlDb {
             store,
             evals: 0,
@@ -300,6 +311,7 @@ impl XmlDb {
                 stats,
             }),
             digests,
+            changed,
         })
     }
 
@@ -327,7 +339,7 @@ impl XmlDb {
                 None => store.add_document(doc, Some(uri)),
             }
         };
-        self.seal_digests(&[uri.to_string()]);
+        self.record_changes(vec![uri.to_string()]);
         self.after_journaled_ops();
         Ok(id)
     }
@@ -339,7 +351,23 @@ impl XmlDb {
         Some(xqib_dom::serialize::serialize_document(store.doc(id)))
     }
 
-    /// Serialises every bound document, sorted by URI (checkpoint input).
+    /// Drains the documents changed since the last call — every load and
+    /// every applied PUL, on any route, including scripts that failed after
+    /// an apply — each with its current serialisation, or `None` once it is
+    /// no longer bound. Applying the result to a per-document cache keeps
+    /// it equal to [`Self::dump`] at the cost of the documents touched.
+    pub fn take_changed(&mut self) -> Vec<(String, Option<String>)> {
+        std::mem::take(&mut self.changed)
+            .into_iter()
+            .map(|(uri, xml)| {
+                let xml = xml.or_else(|| self.serialize(&uri));
+                (uri, xml)
+            })
+            .collect()
+    }
+
+    /// Serialises every bound document, sorted by URI (checkpoint and
+    /// replication-snapshot input).
     pub fn dump(&self) -> Vec<(String, String)> {
         let store = self.store.borrow();
         store
@@ -382,9 +410,9 @@ impl XmlDb {
             ctx.set_deadline_fuel(budget);
             ctx.fuel_commit_exempt = true;
         }
-        let journal = self.install_journal(&mut ctx);
+        self.install_journal(&mut ctx);
         let result = exec.run(&mut ctx);
-        self.drain_journal(journal);
+        self.finish_writes(&mut ctx);
         let fuel_used = ctx.fuel_used;
         (
             result.map(|r| runtime::render_sequence(&ctx, &r)),
@@ -409,9 +437,9 @@ impl XmlDb {
             position: 1,
             size: 1,
         });
-        let journal = self.install_journal(&mut ctx);
+        self.install_journal(&mut ctx);
         let result = exec.run(&mut ctx);
-        self.drain_journal(journal);
+        self.finish_writes(&mut ctx);
         let result = result?;
         Ok(runtime::render_sequence(&ctx, &result))
     }
@@ -605,8 +633,12 @@ impl XmlDb {
         if after >= d.last_committed {
             return Some(Vec::new());
         }
-        let data = d.disk.read(WAL_FILE).unwrap_or_default();
-        let frames = Wal::frames_in(&data, after, d.last_committed);
+        let frames = d
+            .disk
+            .with_file(WAL_FILE, |data| {
+                Wal::frames_in(data, after, d.last_committed)
+            })
+            .unwrap_or_default();
         match frames.first() {
             Some(f) if f.seq == after + 1 => Some(frames),
             _ => None, // gap: the needed suffix was absorbed by a checkpoint
@@ -652,56 +684,66 @@ impl XmlDb {
         })
     }
 
-    fn install_journal(&self, ctx: &mut DynamicContext) -> Option<Rc<RefCell<Vec<Vec<u8>>>>> {
-        self.durable.as_ref()?;
-        let journal = Rc::new(RefCell::new(Vec::new()));
-        ctx.pul_journal = Some(journal.clone());
-        Some(journal)
+    fn install_journal(&self, ctx: &mut DynamicContext) {
+        if self.durable.is_some() {
+            ctx.pul_journal = Some(Vec::new());
+        }
     }
 
     /// Appends the redo records a query produced — even when the query
     /// later failed, any PUL it already applied (mid-script) must be
-    /// journaled — then runs the group-commit / checkpoint policy.
-    fn drain_journal(&mut self, journal: Option<Rc<RefCell<Vec<Vec<u8>>>>>) {
-        let Some(journal) = journal else { return };
-        let records = journal.take();
-        let mut touched: Vec<String> = Vec::new();
-        for bytes in &records {
-            if let Ok(uris) = wire::pul_doc_uris(bytes) {
-                for uri in uris {
-                    if !touched.contains(&uri) {
-                        touched.push(uri);
-                    }
-                }
-            }
-        }
-        if let Some(d) = &mut self.durable {
-            for bytes in records {
+    /// journaled — records the documents it changed, then runs the
+    /// group-commit / checkpoint policy.
+    fn finish_writes(&mut self, ctx: &mut DynamicContext) {
+        if let (Some(journal), Some(d)) = (ctx.pul_journal.take(), &mut self.durable) {
+            for bytes in journal {
                 d.stats.wal_appends += 1;
                 d.last_appended = d.wal.append(&WalRecord::Pul(bytes));
                 d.pending_ops += 1;
             }
         }
-        self.seal_digests(&touched);
+        // `set style` rewrites bypass the journal and are never sealed; a
+        // seal below, taken after every write of this query, may still
+        // replace the mark with fresh bytes
+        for uri in self.uris_of(&ctx.styled_docs) {
+            self.changed.insert(uri, None);
+        }
+        let touched = self.uris_of(&ctx.touched_docs);
+        self.record_changes(touched);
         self.after_journaled_ops();
     }
 
-    /// Seals the content digest of each touched document: recomputes it
-    /// from the applied store, records it, and journals a digest frame per
-    /// document — the end-to-end integrity assertion recovery, replication
-    /// and the scrubber all verify against. Durable mode only: the digest
-    /// map tracks *acknowledged* state, which ephemeral databases lack.
-    fn seal_digests(&mut self, uris: &[String]) {
-        if self.durable.is_none() {
-            return;
+    /// The distinct URIs of `docs`, in order; unbound documents have none.
+    fn uris_of(&self, docs: &[DocId]) -> Vec<String> {
+        let store = self.store.borrow();
+        let mut uris: Vec<String> = Vec::new();
+        for &id in docs {
+            if let Some(uri) = &store.doc(id).base_uri {
+                if !uris.contains(uri) {
+                    uris.push(uri.clone());
+                }
+            }
         }
+        uris
+    }
+
+    /// Records the documents a load or an applied PUL changed: each joins
+    /// the changed set ([`Self::take_changed`]). In durable mode each also
+    /// gets its content digest sealed — recomputed from the applied store,
+    /// recorded, and journaled as a digest frame: the end-to-end integrity
+    /// assertion recovery, replication and the scrubber all verify against
+    /// — and the sealed serialisation is kept for the changed set, so a
+    /// write serialises each document once. Ephemeral databases seal
+    /// nothing: the digest map tracks *acknowledged* state, which they lack.
+    fn record_changes(&mut self, uris: Vec<String>) {
         for uri in uris {
-            let Some(xml) = self.serialize(uri) else {
-                continue;
+            let sealed = match self.durable {
+                Some(_) => self.serialize(&uri),
+                None => None,
             };
-            let digest = content_digest(uri, &xml);
-            self.digests.insert(uri.clone(), digest);
-            if let Some(d) = &mut self.durable {
+            if let (Some(xml), Some(d)) = (&sealed, &mut self.durable) {
+                let digest = content_digest(&uri, xml);
+                self.digests.insert(uri.clone(), digest);
                 d.stats.wal_appends += 1;
                 d.last_appended = d.wal.append(&WalRecord::Digest {
                     uri: uri.clone(),
@@ -709,6 +751,7 @@ impl XmlDb {
                 });
                 d.pending_ops += 1;
             }
+            self.changed.insert(uri, sealed);
         }
     }
 

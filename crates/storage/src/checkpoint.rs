@@ -127,14 +127,15 @@ impl Checkpoint {
         let mut verdicts = Vec::new();
         let mut written = 0usize;
         for (i, slot) in CKPT_SLOTS.iter().enumerate() {
-            let Some(data) = disk.read(slot) else {
+            // `None` for a missing or never-written (empty) slot
+            let Some(decoded) = disk
+                .with_file(slot, |data| (!data.is_empty()).then(|| Self::decode(data)))
+                .flatten()
+            else {
                 continue;
             };
-            if data.is_empty() {
-                continue;
-            }
             written += 1;
-            match Self::decode(&data) {
+            match decoded {
                 Some(ckpt) => {
                     if best.as_ref().is_none_or(|b| ckpt.gen > b.gen) {
                         best = Some(ckpt);

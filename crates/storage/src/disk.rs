@@ -255,7 +255,17 @@ impl VirtualDisk {
 
     /// Current contents (what a reader sees *before* any crash).
     pub fn read(&self, name: &str) -> Option<Vec<u8>> {
-        self.inner.borrow().files.get(name).map(|f| f.data.clone())
+        self.with_file(name, <[u8]>::to_vec)
+    }
+
+    /// Runs `f` over the current contents in place, without copying them
+    /// (`None` if the file does not exist). `f` must not touch this disk.
+    pub fn with_file<R>(&self, name: &str, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        self.inner
+            .borrow()
+            .files
+            .get(name)
+            .map(|file| f(&file.data))
     }
 
     pub fn len(&self, name: &str) -> usize {

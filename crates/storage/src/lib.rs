@@ -29,16 +29,57 @@ pub use disk::{DiskError, DiskStats, StorageFaultPlan, VirtualDisk};
 pub use wal::{ShippedFrame, Wal, WalBreak, WalRecord, WalReplay, WAL_FILE};
 
 /// CRC-32 (IEEE 802.3, reflected) — the frame and snapshot checksum.
+/// Slicing-by-8: eight bytes per step through the const [`CRC_TABLES`].
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// `CRC_TABLES[0][b]` is the CRC register after feeding byte `b` through
+/// the reflected polynomial `0xEDB88320`; `CRC_TABLES[k][b]` is that byte
+/// followed by `k` zero bytes, so one step folds eight input bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// FNV-1a over a byte string — the workspace's standard content hash.
@@ -145,6 +186,91 @@ pub struct DurabilityStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bit-at-a-time CRC-32 the table-driven one replaced: the
+    /// reference its values must match bit for bit.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    /// `len` bytes of seeded noise.
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        (0..len as u64).map(|i| mix64(seed ^ i) as u8).collect()
+    }
+
+    proptest! {
+        /// Every length through 64 (each remainder split around the
+        /// eight-byte steps) and random buffers up to 128 KiB, at random
+        /// start offsets, agree with the bitwise reference.
+        #[test]
+        fn crc32_matches_the_bitwise_reference(
+            seed in any::<u64>(),
+            len in 0usize..128 * 1024 + 1,
+            skip in 0usize..8,
+        ) {
+            for short in 0..=64 {
+                let buf = noise(seed ^ short as u64, short);
+                prop_assert_eq!(crc32(&buf), crc32_bitwise(&buf), "len {}", short);
+            }
+            let buf = noise(seed, len);
+            let tail = &buf[skip.min(len)..];
+            prop_assert_eq!(crc32(tail), crc32_bitwise(tail), "len {}", tail.len());
+        }
+    }
+
+    /// A WAL frame and a checkpoint slot as the bitwise CRC wrote them:
+    /// byte images on disk from before the table-driven CRC must still
+    /// scan and decode.
+    #[test]
+    fn golden_wal_frame_and_checkpoint_still_verify() {
+        const FRAME: [u8; 39] = [
+            22, 0, 0, 0, 147, 54, 4, 139, 1, 0, 0, 0, 0, 0, 0, 0, 1, 5, 0, 0, 0, 97, 46, 120, 109,
+            108, 9, 0, 0, 0, 60, 97, 62, 104, 105, 60, 47, 97, 62,
+        ];
+        const CKPT: [u8; 62] = [
+            88, 81, 67, 75, 80, 84, 50, 0, 127, 151, 230, 42, 3, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0,
+            0, 0, 0, 0, 1, 0, 0, 0, 5, 0, 0, 0, 97, 46, 120, 109, 108, 9, 0, 0, 0, 60, 97, 62, 104,
+            105, 60, 47, 97, 62, 170, 210, 168, 164, 171, 108, 77, 193,
+        ];
+        let doc = ("a.xml".to_string(), "<a>hi</a>".to_string());
+        let replay = Wal::scan_bytes(&FRAME);
+        assert_eq!(replay.break_reason, None);
+        assert_eq!(
+            replay.records,
+            vec![(
+                1,
+                WalRecord::Load {
+                    uri: doc.0.clone(),
+                    xml: doc.1.clone()
+                },
+                FRAME.len()
+            )]
+        );
+        let ck = Checkpoint::decode(&CKPT).expect("golden checkpoint decodes");
+        assert_eq!(
+            ck,
+            Checkpoint {
+                gen: 3,
+                seq: 7,
+                docs: vec![doc]
+            }
+        );
+        // and today's encoders still produce exactly these bytes
+        let disk = VirtualDisk::new();
+        let mut wal = Wal::create(disk.clone(), WAL_FILE);
+        wal.append(&replay.records[0].1);
+        assert_eq!(disk.read(WAL_FILE).unwrap(), FRAME);
+        assert_eq!(ck.encode(), CKPT);
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

@@ -151,8 +151,7 @@ impl Wal {
 
     /// Scans a WAL file into the longest intact frame prefix.
     pub fn scan(disk: &VirtualDisk, file: &str) -> WalReplay {
-        let data = disk.read(file).unwrap_or_default();
-        Self::scan_bytes(&data)
+        disk.with_file(file, Self::scan_bytes).unwrap_or_default()
     }
 
     /// Scans an in-memory frame stream — the same accept rule as

@@ -160,8 +160,15 @@ pub struct DynamicContext {
     pub fuel_commit_exempt: bool,
     /// Redo-log sink: when set, every successfully applied PUL is wire-
     /// encoded (against the pre-apply store) and pushed here, in apply
-    /// order. The durable `XmlDb` drains this into its write-ahead log.
-    pub pul_journal: Option<Rc<std::cell::RefCell<Vec<Vec<u8>>>>>,
+    /// order. The durable `XmlDb` moves it into its write-ahead log.
+    pub pul_journal: Option<Vec<Vec<u8>>>,
+    /// Documents changed by successfully applied PULs, in first-touch
+    /// order, with or without a journal. A host that caches per-document
+    /// state refreshes these and `styled_docs`.
+    pub touched_docs: Vec<DocId>,
+    /// Documents whose `style` attribute a hook-less `set style` rewrote in
+    /// place: a change outside any PUL, so never journaled.
+    pub styled_docs: Vec<DocId>,
 }
 
 /// A restore point for the parts of the dynamic context a panicking or
@@ -207,6 +214,8 @@ impl DynamicContext {
             fuel_code: "XQIB0011",
             fuel_commit_exempt: false,
             pul_journal: None,
+            touched_docs: Vec::new(),
+            styled_docs: Vec::new(),
         }
     }
 

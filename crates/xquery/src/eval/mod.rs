@@ -567,7 +567,8 @@ fn eval_statement(ctx: &mut DynamicContext, stmt: &Statement) -> XdmResult<Seque
 /// Applies the accumulated pending update list to the store. When a redo
 /// journal is installed (durable server tier), the list is wire-encoded
 /// against the pre-apply store first and pushed to the journal only if the
-/// apply succeeds — a rolled-back apply must not leave a redo record.
+/// apply succeeds — a rolled-back apply must not leave a redo record. The
+/// target documents of a successful apply join `ctx.touched_docs`.
 pub fn apply_pending(ctx: &mut DynamicContext) -> XdmResult<()> {
     if ctx.pul.is_empty() {
         return Ok(());
@@ -581,15 +582,20 @@ pub fn apply_pending(ctx: &mut DynamicContext) -> XdmResult<()> {
         ctx.fuel = None;
     }
     let pul = ctx.pul.take();
-    let journal = ctx.pul_journal.clone();
     let mut store = ctx.store.borrow_mut();
-    let encoded = match &journal {
+    let encoded = match ctx.pul_journal {
         Some(_) => Some(crate::wire::encode_pul(&store, &pul)?),
         None => None,
     };
+    let docs: Vec<_> = pul.primitives().iter().map(|p| p.target().doc).collect();
     pul.apply(&mut store)?;
-    if let (Some(journal), Some(bytes)) = (journal, encoded) {
-        journal.borrow_mut().push(bytes);
+    if let (Some(journal), Some(bytes)) = (&mut ctx.pul_journal, encoded) {
+        journal.push(bytes);
+    }
+    for doc in docs {
+        if !ctx.touched_docs.contains(&doc) {
+            ctx.touched_docs.push(doc);
+        }
     }
     Ok(())
 }
@@ -718,6 +724,9 @@ fn set_style_attribute(
         render_style_attr(&props),
     )
     .map_err(|e| XdmError::new("XQIB0003", e.to_string()))?;
+    if !ctx.styled_docs.contains(&target.doc) {
+        ctx.styled_docs.push(target.doc);
+    }
     Ok(())
 }
 

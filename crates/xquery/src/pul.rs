@@ -69,6 +69,26 @@ pub enum UpdatePrimitive {
     },
 }
 
+impl UpdatePrimitive {
+    /// The node the primitive changes (the anchor for sibling inserts); its
+    /// document is the one the primitive writes.
+    pub fn target(&self) -> NodeRef {
+        match self {
+            UpdatePrimitive::InsertInto { target, .. }
+            | UpdatePrimitive::InsertFirst { target, .. }
+            | UpdatePrimitive::InsertLast { target, .. }
+            | UpdatePrimitive::InsertAttributes { target, .. }
+            | UpdatePrimitive::Delete { target }
+            | UpdatePrimitive::ReplaceNode { target, .. }
+            | UpdatePrimitive::ReplaceValue { target, .. }
+            | UpdatePrimitive::ReplaceElementContent { target, .. }
+            | UpdatePrimitive::Rename { target, .. } => *target,
+            UpdatePrimitive::InsertBefore { anchor, .. }
+            | UpdatePrimitive::InsertAfter { anchor, .. } => *anchor,
+        }
+    }
+}
+
 /// Deterministic crash injection for the apply path, mirroring the seeded
 /// `FaultPlan` on the network side: a crash point forces [`Pul::apply`] to
 /// fail with `XQIB0012` just before executing the given apply step, so every
