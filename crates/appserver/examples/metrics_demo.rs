@@ -26,12 +26,14 @@ fn main() {
     }
 
     let m = &server.metrics;
+    let engine = server.db.engine_stats();
+    let plans = server.db.plan_stats();
     println!("requests:            {}", m.requests);
     println!("bytes_out:           {}", m.bytes_out);
-    println!("xquery_evals:        {}", m.xquery_evals);
-    println!("order_index_rebuilds:{}", m.order_index_rebuilds);
-    println!("sorts_performed:     {}", m.sorts_performed);
-    println!("sorts_elided:        {}", m.sorts_elided);
-    println!("plan_cache_hits:     {}", m.plan_cache_hits);
-    println!("plan_cache_misses:   {}", m.plan_cache_misses);
+    println!("xquery_evals:        {}", server.db.evals);
+    println!("order_index_rebuilds:{}", engine.order_index_rebuilds);
+    println!("sorts_performed:     {}", engine.sorts_performed);
+    println!("sorts_elided:        {}", engine.sorts_elided);
+    println!("plan_cache_hits:     {}", plans.hits);
+    println!("plan_cache_misses:   {}", plans.misses);
 }

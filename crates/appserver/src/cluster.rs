@@ -68,32 +68,17 @@ use xqib_browser::{FaultPlan, NetOutcome, Request, Response, VirtualNetwork};
 use xqib_dom::store::shared_store;
 use xqib_dom::SharedStore;
 use xqib_storage::{
-    content_digest, Checkpoint, IntegrityError, StorageFaultPlan, VirtualDisk, Wal, WalRecord,
-    WAL_FILE,
+    content_digest, fnv1a, mix64, Checkpoint, IntegrityError, StorageFaultPlan, VirtualDisk, Wal,
+    WalRecord, WAL_FILE,
 };
 use xqib_xquery::wire;
 
+use crate::fleet::FleetStats;
 use crate::governor::Class;
-use crate::metrics::ServerMetrics;
+use crate::metrics::{self, OuterStats};
 use crate::render;
 use crate::server::{param, split_url, AppServer, ServerResponse};
 use crate::xmldb::{apply_wal_record, DurabilityConfig, XmlDb};
-
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Lowercase-hex encodes replication payloads for the text-bodied
 /// [`Request`] transport.
@@ -192,7 +177,7 @@ impl Router {
         if self.ring.is_empty() {
             return 0;
         }
-        let h = mix64(fnv1a(uri));
+        let h = mix64(fnv1a(uri.as_bytes()));
         let i = match self.ring.binary_search_by(|(p, _)| p.cmp(&h)) {
             Ok(i) => i,
             Err(i) => i % self.ring.len(),
@@ -221,8 +206,7 @@ pub enum TopologyChange {
     Rebalance(u64),
 }
 
-/// Cumulative resharding counters, mirrored into [`ServerMetrics`] via
-/// [`ServerMetrics::record_resharding`].
+/// Cumulative resharding counters, reported on the cluster's `/metrics`.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ReshardStats {
     /// Ring installs (add, decommission, rebalance) — each bumps the epoch.
@@ -243,6 +227,32 @@ pub struct ReshardStats {
     pub cutover_fences: u64,
     /// Decommissioned shards fully drained and retired.
     pub drains: u64,
+}
+
+impl ReshardStats {
+    /// Every counter under its `/metrics` element name, in report order.
+    pub fn counters(&self) -> [(&'static str, u64); 8] {
+        let ReshardStats {
+            epoch_bumps,
+            migrations_started,
+            migrations_completed,
+            migrations_aborted,
+            docs_moved,
+            tail_frames_forwarded,
+            cutover_fences,
+            drains,
+        } = *self;
+        [
+            ("reshard-epoch-bumps", epoch_bumps),
+            ("reshard-migrations-started", migrations_started),
+            ("reshard-migrations-completed", migrations_completed),
+            ("reshard-migrations-aborted", migrations_aborted),
+            ("reshard-docs-moved", docs_moved),
+            ("reshard-tail-frames-forwarded", tail_frames_forwarded),
+            ("reshard-cutover-fences", cutover_fences),
+            ("reshard-drains", drains),
+        ]
+    }
 }
 
 /// Shared routing state: the ring, its epoch, and the per-document *home*
@@ -412,8 +422,7 @@ enum CutoverStep {
 // Stats
 // ---------------------------------------------------------------------
 
-/// Cumulative replication counters, mirrored into [`ServerMetrics`] via
-/// [`ServerMetrics::record_replication`].
+/// Cumulative replication counters, reported on the cluster's `/metrics`.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ReplicationStats {
     /// WAL frames shipped to followers (every attempt, including resends).
@@ -439,9 +448,39 @@ pub struct ReplicationStats {
     pub max_replica_lag: u64,
 }
 
+impl ReplicationStats {
+    /// Every counter under its `/metrics` element name, in report order.
+    pub fn counters(&self) -> [(&'static str, u64); 10] {
+        let ReplicationStats {
+            frames_shipped,
+            frames_acked,
+            frames_retried,
+            snapshots_shipped,
+            probes,
+            failovers,
+            follower_reads,
+            ownership_rejections,
+            blackout_ms,
+            max_replica_lag,
+        } = *self;
+        [
+            ("repl-frames-shipped", frames_shipped),
+            ("repl-frames-acked", frames_acked),
+            ("repl-frames-retried", frames_retried),
+            ("repl-snapshots-shipped", snapshots_shipped),
+            ("repl-probes", probes),
+            ("repl-failovers", failovers),
+            ("repl-follower-reads", follower_reads),
+            ("repl-ownership-rejections", ownership_rejections),
+            ("repl-blackout-ms", blackout_ms),
+            ("repl-max-replica-lag", max_replica_lag),
+        ]
+    }
+}
+
 /// Cumulative end-to-end integrity counters: latent decay observed, scrub
-/// verdicts, quarantines and verified repairs. Mirrored into
-/// [`ServerMetrics`] via [`ServerMetrics::record_integrity`].
+/// verdicts, quarantines and verified repairs, reported on the cluster's
+/// `/metrics`.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct IntegrityStats {
     /// Anti-entropy scrub cycles run across the cluster.
@@ -480,6 +519,46 @@ pub struct IntegrityStats {
     pub decay_sweeps: u64,
     /// At-rest synced sectors hit by latent bit rot.
     pub sectors_decayed: u64,
+}
+
+impl IntegrityStats {
+    /// Every counter under its `/metrics` element name, in report order.
+    pub fn counters(&self) -> [(&'static str, u64); 15] {
+        let IntegrityStats {
+            scrub_cycles,
+            scrub_docs_checked,
+            scrub_digest_mismatches,
+            scrub_wal_corruptions,
+            scrub_ckpt_corruptions,
+            scrub_ckpt_lost,
+            quarantines,
+            repairs_started,
+            repairs_verified,
+            leader_demotions,
+            promote_heals,
+            reads_verified,
+            reads_refused,
+            decay_sweeps,
+            sectors_decayed,
+        } = *self;
+        [
+            ("scrub-cycles", scrub_cycles),
+            ("scrub-docs-checked", scrub_docs_checked),
+            ("scrub-digest-mismatches", scrub_digest_mismatches),
+            ("scrub-wal-corruptions", scrub_wal_corruptions),
+            ("scrub-ckpt-corruptions", scrub_ckpt_corruptions),
+            ("scrub-ckpt-lost", scrub_ckpt_lost),
+            ("integrity-quarantines", quarantines),
+            ("integrity-repairs-started", repairs_started),
+            ("integrity-repairs-verified", repairs_verified),
+            ("integrity-leader-demotions", leader_demotions),
+            ("integrity-promote-heals", promote_heals),
+            ("integrity-reads-verified", reads_verified),
+            ("integrity-reads-refused", reads_refused),
+            ("decay-sweeps", decay_sweeps),
+            ("decay-sectors", sectors_decayed),
+        ]
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -962,6 +1041,8 @@ pub struct Cluster {
     stats: Rc<RefCell<ReplicationStats>>,
     istats: IntegrityStats,
     rstats: ReshardStats,
+    /// The last fleet run's totals ([`Cluster::record_fleet`]).
+    fleet: FleetStats,
     migrations: Vec<Migration>,
     topo_schedule: Vec<(u64, TopologyChange)>,
     crashes: Vec<(u64, usize)>,
@@ -990,6 +1071,7 @@ impl Cluster {
             stats,
             istats: IntegrityStats::default(),
             rstats: ReshardStats::default(),
+            fleet: FleetStats::default(),
             migrations: Vec::new(),
             topo_schedule: Vec::new(),
             crashes: Vec::new(),
@@ -2569,42 +2651,30 @@ impl Cluster {
         sh.pending = keep;
     }
 
-    /// The `/metrics` surface: the first live leader's metrics with the
-    /// cluster's replication, integrity and resharding counters mirrored
-    /// in (every live leader gets the same snapshot, so any shard's
-    /// endpoint agrees; shard 0 may be retired).
+    /// The `/metrics` surface: the first live leader's counters (shard 0
+    /// may be retired; zeros when no shard has a leader) with the
+    /// cluster's replication, fleet, integrity and resharding groups.
     fn metrics_response(&mut self) -> ServerResponse {
-        let stats = self.stats.borrow().clone();
-        let istats = self.integrity_stats();
-        let rstats = self.rstats.clone();
-        for sh in &mut self.shards {
-            if let Some(leader) = sh.leader.as_mut() {
-                leader.metrics.record_replication(&stats);
-                leader.metrics.record_integrity(&istats);
-                leader.metrics.record_resharding(&rstats);
-            }
-        }
+        let replication = self.stats();
+        let integrity = self.integrity_stats();
+        let outer = OuterStats {
+            overload: None,
+            replication: Some(&replication),
+            fleet: Some(&self.fleet),
+            integrity: Some(&integrity),
+            reshard: Some(&self.rstats),
+        };
         match self.shards.iter_mut().find_map(|sh| sh.leader.as_mut()) {
-            Some(leader) => leader.handle("/metrics"),
-            None => {
-                let mut m = ServerMetrics::default();
-                m.record_replication(&stats);
-                m.record_integrity(&istats);
-                m.record_resharding(&rstats);
-                ServerResponse::new(200, m.to_xml())
-            }
+            Some(leader) => leader.handle_with("/metrics", None, &outer).0,
+            None => ServerResponse::new(200, metrics::render(None, &outer)),
         }
     }
 
-    /// Mirrors a fleet run's aggregate counters into every live leader's
-    /// metrics, so the next `/metrics` render reports the client side of
-    /// the deployment alongside the server and replication counters.
-    pub fn record_fleet(&mut self, stats: &crate::fleet::FleetStats) {
-        for sh in &mut self.shards {
-            if let Some(leader) = sh.leader.as_mut() {
-                leader.metrics.record_fleet(stats);
-            }
-        }
+    /// Hands a fleet run's totals to the cluster, so the next `/metrics`
+    /// render reports the client side of the deployment alongside the
+    /// server and replication counters.
+    pub fn record_fleet(&mut self, stats: &FleetStats) {
+        self.fleet = stats.clone();
     }
 }
 

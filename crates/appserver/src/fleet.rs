@@ -27,7 +27,7 @@ use xqib_browser::net::{FaultPlan, Response};
 use xqib_browser::{EventLoop, RecoveryConfig, RecoveryStats};
 use xqib_core::plugin::{Plugin, PluginConfig};
 use xqib_minijs::JsEngine;
-use xqib_storage::StorageFaultPlan;
+use xqib_storage::{mix64, StorageFaultPlan};
 use xqib_xdm::{XdmError, XdmResult};
 
 use crate::cluster::{
@@ -47,13 +47,6 @@ const TICK_MS: u64 = 50;
 const LAG_BACKOFF_THRESHOLD: u64 = 8;
 /// Cities served by the mash-up scenario's shared `cities.xml`.
 const CITIES: &[&str] = &["Madrid", "Zurich", "Oslo", "Kyoto", "Quito"];
-
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 // ---------------------------------------------------------------------
 // Configuration
@@ -196,7 +189,8 @@ impl FleetConfig {
 // Report
 // ---------------------------------------------------------------------
 
-/// Fleet-wide totals (mirrored into `ServerMetrics` as `fleet-*`).
+/// Fleet-wide totals, reported on the cluster's `/metrics` once
+/// [`Cluster::record_fleet`](crate::Cluster::record_fleet) hands them over.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FleetStats {
     pub clients: u64,
@@ -227,6 +221,54 @@ pub struct FleetStats {
     /// `(behind_calls − origin_requests) * 1000 / behind_calls`, saturating:
     /// the §6.1 offload claim as a number.
     pub cache_hit_permille: u64,
+}
+
+impl FleetStats {
+    /// Every counter under its `/metrics` element name, in report order.
+    pub fn counters(&self) -> [(&'static str, u64); 19] {
+        let FleetStats {
+            clients,
+            interactions,
+            behind_calls,
+            attempts,
+            retries,
+            timeouts,
+            fetch_errors,
+            breaker_opens,
+            breaker_fast_fails,
+            stale_served,
+            stale_events,
+            error_events,
+            completions,
+            evictions,
+            quarantine_trips,
+            retry_after_honored,
+            degraded_observed,
+            origin_requests,
+            cache_hit_permille,
+        } = *self;
+        [
+            ("fleet-clients", clients),
+            ("fleet-interactions", interactions),
+            ("fleet-behind-calls", behind_calls),
+            ("fleet-attempts", attempts),
+            ("fleet-retries", retries),
+            ("fleet-timeouts", timeouts),
+            ("fleet-fetch-errors", fetch_errors),
+            ("fleet-breaker-opens", breaker_opens),
+            ("fleet-breaker-fast-fails", breaker_fast_fails),
+            ("fleet-stale-served", stale_served),
+            ("fleet-stale-events", stale_events),
+            ("fleet-error-events", error_events),
+            ("fleet-completions", completions),
+            ("fleet-evictions", evictions),
+            ("fleet-quarantine-trips", quarantine_trips),
+            ("fleet-retry-after-honored", retry_after_honored),
+            ("fleet-degraded-observed", degraded_observed),
+            ("fleet-origin-requests", origin_requests),
+            ("fleet-cache-hit-permille", cache_hit_permille),
+        ]
+    }
 }
 
 /// One simulated browser's outcome.

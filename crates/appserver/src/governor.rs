@@ -39,6 +39,7 @@
 
 use std::collections::VecDeque;
 
+use crate::metrics::OuterStats;
 use crate::server::{split_url, AppServer, ServerResponse};
 
 /// Request priority classes, in dequeue order: interactive page renders
@@ -142,8 +143,7 @@ impl GovernorConfig {
 }
 
 /// Overload counters (and the raw queue-delay samples the percentiles are
-/// computed from). Mirrored into `ServerMetrics` via
-/// [`crate::ServerMetrics::record_overload`].
+/// computed from), reported on the `/metrics` a [`GovernedServer`] serves.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct OverloadStats {
     /// Requests offered to the governor.
@@ -181,6 +181,29 @@ impl OverloadStats {
         // nearest-rank (ceiling) convention: p99 of 5 samples is the max
         let rank = (sorted.len() * pct.min(100) as usize).div_ceil(100);
         sorted[rank.max(1) - 1]
+    }
+
+    /// The reported counters under their `/metrics` element names, in
+    /// report order.
+    pub fn counters(&self) -> [(&'static str, u64); 6] {
+        let OverloadStats {
+            submitted: _,
+            admitted,
+            completed: _,
+            shed_queue_full: _,
+            shed_queue_delay: _,
+            degraded,
+            deadline_exceeded,
+            queue_delays: _,
+        } = *self;
+        [
+            ("admitted", admitted),
+            ("shed", self.shed()),
+            ("degraded", degraded),
+            ("deadline-exceeded", deadline_exceeded),
+            ("queue-delay-p50-ms", self.queue_delay_percentile(50)),
+            ("queue-delay-p99-ms", self.queue_delay_percentile(99)),
+        ]
     }
 }
 
@@ -346,6 +369,14 @@ impl RequestGovernor {
     }
 }
 
+/// The `/metrics` groups a governed server reports beyond its own.
+fn overload_group(stats: &OverloadStats) -> OuterStats<'_> {
+    OuterStats {
+        overload: Some(stats),
+        ..OuterStats::default()
+    }
+}
+
 /// A last-resort responder the degrade path consults before giving up
 /// with a 504 — e.g. a cluster plugging in bounded-staleness follower
 /// reads: a lagging replica beats no answer at all.
@@ -420,11 +451,12 @@ impl GovernedServer {
         done
     }
 
-    /// Mirrors the governor's overload counters into the wrapped server's
-    /// `ServerMetrics` (so `/metrics` reports them).
-    pub fn sync_metrics(&mut self) {
-        let stats = self.gov.stats.clone();
-        self.server.metrics.record_overload(&stats);
+    /// Serves `/metrics` with the governor's counters, outside the
+    /// admission queue: a scrape is not traffic. A `/metrics` request
+    /// submitted through the queue reports the same groups.
+    pub fn metrics(&mut self) -> ServerResponse {
+        let outer = overload_group(&self.gov.stats);
+        self.server.handle_with("/metrics", None, &outer).0
     }
 
     /// Virtual time at which the server is next free.
@@ -464,7 +496,8 @@ impl GovernedServer {
         } else {
             let budget =
                 (deadline > 0).then(|| (deadline - delay).saturating_mul(self.gov.cfg.fuel_per_ms));
-            let (resp, fuel_used) = self.server.handle_budgeted(&p.url, budget);
+            let outer = overload_group(&self.gov.stats);
+            let (resp, fuel_used) = self.server.handle_with(&p.url, budget, &outer);
             // fuel retired on the engine is the virtual CPU cost; every
             // request additionally pays 1 ms of fixed routing/serialisation
             let service_ms = fuel_used / self.gov.cfg.fuel_per_ms + 1;
@@ -674,7 +707,7 @@ mod tests {
     }
 
     #[test]
-    fn sync_metrics_mirrors_overload_counters() {
+    fn metrics_report_the_governor_counters() {
         let mut g = governed(GovernorConfig {
             queue_capacity: 1,
             ..Default::default()
@@ -682,11 +715,13 @@ mod tests {
         g.submit("/index", 0);
         g.submit("/index", 0); // shed: queue full
         g.drain();
-        g.sync_metrics();
-        assert_eq!(g.server.metrics.admitted, 1);
-        assert_eq!(g.server.metrics.shed, 1);
-        let xml = g.server.handle("/metrics");
-        assert!(xml.body.contains("<admitted>1</admitted>"), "{}", xml.body);
-        assert!(xml.body.contains("<shed>1</shed>"));
+        let xml = g.metrics().body;
+        assert!(xml.contains("<admitted>1</admitted>"), "{xml}");
+        assert!(xml.contains("<shed>1</shed>"), "{xml}");
+        // a scrape through the queue sees the same books, itself included
+        g.submit("/metrics", 10);
+        let xml = g.drain().remove(0).response.body;
+        assert!(xml.contains("<admitted>2</admitted>"), "{xml}");
+        assert!(xml.contains("<shed>1</shed>"), "{xml}");
     }
 }

@@ -15,12 +15,10 @@
 use std::collections::HashMap;
 
 use xqib_browser::net::percent_decode;
-use xqib_dom::order::stats as engine_stats;
-use xqib_dom::order::stats::EngineStats;
 use xqib_storage::VirtualDisk;
 use xqib_xdm::XdmResult;
 
-use crate::metrics::ServerMetrics;
+use crate::metrics::{self, OuterStats, ServerMetrics};
 use crate::render;
 use crate::xmldb::{DurabilityConfig, XmlDb};
 
@@ -76,9 +74,6 @@ impl ServerResponse {
 pub struct AppServer {
     pub db: XmlDb,
     pub metrics: ServerMetrics,
-    /// Process-global engine counters at construction time; `metrics`
-    /// reports the delta from here.
-    engine_baseline: EngineStats,
     /// Whole-document snapshots by URI: the degradation cache. Refreshed at
     /// construction and after every successful `/update`, each time equal
     /// to a full dump of the store, so a degraded response is always a
@@ -120,12 +115,9 @@ impl AppServer {
     /// shards use this: only the shard owning `corpus.xml` holds the
     /// corpus; the rest serve whatever documents route to them.
     pub fn from_db(db: XmlDb) -> Self {
-        let mut metrics = ServerMetrics::default();
-        metrics.record_durability(&db.durability_stats());
         let mut server = AppServer {
             db,
-            metrics,
-            engine_baseline: engine_stats::snapshot(),
+            metrics: ServerMetrics::default(),
             snapshots: HashMap::new(),
         };
         server.refresh_snapshots();
@@ -178,7 +170,7 @@ impl AppServer {
     ///   individual queries to documents", §6.1);
     /// * `/query?xq=Q` — ad-hoc server-side XQuery (legacy fine-grained API);
     /// * `/update?xq=Q` — updating XQuery (journaled in durable mode);
-    /// * `/metrics` — the [`ServerMetrics`] counters as XML.
+    /// * `/metrics` — every counter as XML (see the `metrics` module).
     pub fn handle(&mut self, url: &str) -> ServerResponse {
         self.handle_budgeted(url, None).0
     }
@@ -188,6 +180,18 @@ impl AppServer {
     /// consumed (0 for routes that evaluate nothing), which the request
     /// governor converts back into virtual service time.
     pub fn handle_budgeted(&mut self, url: &str, budget: Option<u64>) -> (ServerResponse, u64) {
+        self.handle_with(url, budget, &OuterStats::default())
+    }
+
+    /// Like [`Self::handle_budgeted`], on behalf of an outer layer (the
+    /// governor, the cluster) whose counter groups `/metrics` reports
+    /// alongside the server's own.
+    pub(crate) fn handle_with(
+        &mut self,
+        url: &str,
+        budget: Option<u64>,
+        outer: &OuterStats<'_>,
+    ) -> (ServerResponse, u64) {
         self.metrics.requests += 1;
         let (path, query) = split_url(url);
         let (resp, fuel_used) = match path.as_str() {
@@ -236,20 +240,18 @@ impl AppServer {
                 }
                 None => (bad_request("missing xq parameter"), 0),
             },
-            "/metrics" => (ServerResponse::new(200, self.metrics.to_xml()), 0),
+            "/metrics" => (
+                ServerResponse::new(200, metrics::render(Some(self), outer)),
+                0,
+            ),
             other => (not_found(&format!("no route {other}")), 0),
         };
         self.metrics.bytes_out += resp.body.len() as u64;
-        self.metrics
-            .record_engine_stats(self.engine_baseline, engine_stats::snapshot());
-        self.metrics.record_durability(&self.db.durability_stats());
         (resp, fuel_used)
     }
 
     fn render_query(&mut self, xq: &str, budget: Option<u64>) -> (ServerResponse, u64) {
         let (result, fuel_used) = self.db.query_with_deadline(xq, budget);
-        self.metrics.xquery_evals = self.db.evals;
-        self.metrics.record_plan_cache(&self.db.plan_stats());
         let resp = match result {
             Ok(body) => ServerResponse::new(200, body),
             Err(e) => ServerResponse::new(status_for(&e.code), format!("<error>{e}</error>")),
@@ -348,13 +350,20 @@ mod tests {
         assert_eq!(r.status, 200);
         assert!(r.body.contains("<table id=\"refs\">"));
         assert_eq!(s.metrics.requests, 1);
-        assert_eq!(s.metrics.xquery_evals, 1);
+        assert_eq!(s.db.evals, 1);
         assert!(s.metrics.bytes_out > 0);
-        // Rendering the page evaluates paths over the corpus, which needs
-        // the order index at least once (the counters are process-global,
-        // so only a lower bound is assertable).
-        assert!(s.metrics.order_index_rebuilds >= 1);
-        assert!(s.metrics.sorts_performed + s.metrics.sorts_elided >= 1);
+        // The counters belong to this server's store, so they are exact.
+        // The page's two multi-node steps each run from a single context
+        // node, so their normalisation is elided and the render never
+        // needs the order index.
+        assert_eq!(
+            s.db.engine_stats(),
+            xqib_dom::EngineStats {
+                order_index_rebuilds: 0,
+                sorts_performed: 0,
+                sorts_elided: 2,
+            }
+        );
     }
 
     #[test]
@@ -363,7 +372,7 @@ mod tests {
         let r = s.handle("/doc?uri=corpus.xml");
         assert_eq!(r.status, 200);
         assert!(r.body.starts_with("<library>"));
-        assert_eq!(s.metrics.xquery_evals, 0, "no server-side XQuery");
+        assert_eq!(s.db.evals, 0, "no server-side XQuery");
     }
 
     #[test]
@@ -435,13 +444,16 @@ mod tests {
             "/update?xq=insert+node+%3Cnote%3Ehi%3C%2Fnote%3E+into+doc(%27corpus.xml%27)%2F*",
         );
         assert_eq!(r.status, 200);
-        assert!(s.metrics.wal_appends >= 2, "corpus load + update journaled");
+        assert!(
+            s.db.durability_stats().wal_appends >= 2,
+            "corpus load + update journaled"
+        );
         let r = s.handle("/query?xq=count(doc('corpus.xml')//note)");
         assert_eq!(r.body, "1");
         // the journaled update survives a crash + recovery
         disk.crash();
         let mut s2 = AppServer::recover(disk, DurabilityConfig::default()).unwrap();
-        assert_eq!(s2.metrics.recoveries, 1);
+        assert_eq!(s2.db.durability_stats().recoveries, 1);
         let r = s2.handle("/query?xq=count(doc('corpus.xml')//note)");
         assert_eq!(r.body, "1");
     }

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use xqib_browser::event_loop::EventLoop;
 use xqib_browser::net::{Fault, FaultPlan};
-use xqib_storage::{StorageFaultPlan, VirtualDisk};
+use xqib_storage::{mix64, StorageFaultPlan, VirtualDisk};
 use xqib_xdm::XdmResult;
 
 use crate::cluster::{
@@ -25,8 +25,9 @@ use crate::cluster::{
     ReshardStats, Submitted, TopologyChange, TopologyEpoch,
 };
 use crate::corpus::{generate_corpus, CorpusSpec};
-use crate::governor::{Admission, Class, Completion, GovernedServer, GovernorConfig, Outcome};
-use crate::metrics::ServerMetrics;
+use crate::governor::{
+    Admission, Class, Completion, GovernedServer, GovernorConfig, Outcome, OverloadStats,
+};
 use crate::server::AppServer;
 use crate::xmldb::DurabilityConfig;
 
@@ -200,9 +201,11 @@ pub struct SimReport {
     pub duration_ms: u64,
     /// Indexed by [`Class::index`].
     pub per_class: [ClassStats; 3],
-    /// The server's final metrics snapshot (includes the mirrored overload
-    /// counters — what the `/metrics` route would serve).
-    pub metrics: ServerMetrics,
+    /// The governor's final overload counters.
+    pub overload: OverloadStats,
+    /// The `/metrics` body the governed server serves at the end of the
+    /// run.
+    pub metrics: String,
 }
 
 impl SimReport {
@@ -242,15 +245,6 @@ impl SimReport {
         all.sort_unstable();
         all[(all.len() * 99).div_ceil(100).max(1) - 1]
     }
-}
-
-/// SplitMix64 finaliser — the same draw-per-input idiom as the fault
-/// plans, so one master seed derives every decision.
-fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The URL the `n`-th arrival of client `c` requests, drawn from the mix.
@@ -427,11 +421,11 @@ pub fn run_sim_with_server(cfg: &SimConfig) -> XdmResult<(SimReport, GovernedSer
     }
     debug_assert!(inflight.is_empty(), "every admitted request completed");
 
-    g.sync_metrics();
     let report = SimReport {
         duration_ms: cfg.duration_ms,
         per_class,
-        metrics: g.server.metrics.clone(),
+        overload: g.gov.stats.clone(),
+        metrics: g.metrics().body,
     };
     Ok((report, g))
 }
@@ -794,10 +788,10 @@ mod tests {
         let report = run_sim(&SimConfig::steady(7, 5, 4_000)).unwrap();
         assert_eq!(report.issued(), 20);
         assert_eq!(report.shed(), 0, "{report:?}");
-        assert_eq!(report.metrics.shed, 0);
-        assert_eq!(report.metrics.degraded, 0);
+        assert_eq!(report.overload.shed(), 0);
+        assert_eq!(report.overload.degraded, 0);
         assert_eq!(report.goodput() + report.errors(), 20);
-        assert!(report.metrics.admitted >= 20);
+        assert!(report.overload.admitted >= 20);
     }
 
     #[test]
@@ -834,7 +828,7 @@ mod tests {
             report.goodput() > 0,
             "shedding keeps the server making progress"
         );
-        assert_eq!(report.metrics.shed, report.shed());
+        assert_eq!(report.overload.shed(), report.shed());
     }
 
     impl SimReport {

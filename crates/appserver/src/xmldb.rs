@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use xqib_dom::store::shared_store;
-use xqib_dom::{DocId, SharedStore};
+use xqib_dom::{DocId, EngineStats, SharedStore};
 use xqib_storage::{
     content_digest, mix64, Checkpoint, DiskError, DurabilityStats, IntegrityError, ShippedFrame,
     VirtualDisk, Wal, WalRecord, CKPT_SLOTS, WAL_FILE,
@@ -480,6 +480,11 @@ impl XmlDb {
     /// Plan-cache hit/miss/eviction/invalidation counters.
     pub fn plan_stats(&self) -> PlanCacheStats {
         self.plans.stats()
+    }
+
+    /// Document-order counters of this database's store.
+    pub fn engine_stats(&self) -> EngineStats {
+        self.store.borrow().engine_stats()
     }
 
     /// Number of plans currently cached.

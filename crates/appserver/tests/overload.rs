@@ -54,13 +54,13 @@ fn assert_conservation(report: &SimReport) {
         );
     }
     // the governor's own books agree with the client-side tally
-    assert_eq!(report.metrics.shed, report.shed());
+    assert_eq!(report.overload.shed(), report.shed());
     assert_eq!(
-        report.metrics.degraded,
+        report.overload.degraded,
         report.per_class.iter().map(|c| c.degraded).sum::<u64>()
     );
     assert_eq!(
-        report.metrics.deadline_exceeded,
+        report.overload.deadline_exceeded,
         report
             .per_class
             .iter()
@@ -155,8 +155,8 @@ proptest! {
         let (report, _) = run_sim_with_server(&cfg).unwrap();
         assert_conservation(&report);
         prop_assert_eq!(report.shed(), 0);
-        prop_assert_eq!(report.metrics.degraded, 0);
-        prop_assert_eq!(report.metrics.deadline_exceeded, 0);
+        prop_assert_eq!(report.overload.degraded, 0);
+        prop_assert_eq!(report.overload.deadline_exceeded, 0);
         prop_assert_eq!(report.goodput(), report.issued());
     }
 }
@@ -217,8 +217,7 @@ fn flood_responses_are_honest() {
     assert!(degraded > 0, "late renders must fall back to the snapshot");
 
     // the /metrics route serves the overload counters the flood produced
-    g.sync_metrics();
-    let xml = g.server.handle("/metrics").body;
+    let xml = g.metrics().body;
     assert!(xml.contains(&format!("<shed>{shed}</shed>")), "{xml}");
     assert!(
         xml.contains(&format!("<degraded>{degraded}</degraded>")),

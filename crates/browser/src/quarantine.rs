@@ -112,7 +112,8 @@ impl ListenerGuard {
     }
 }
 
-/// Counters over all listeners (mirrored into `ServerMetrics`).
+/// Counters over all listeners (served by `browser:listenerStatus()` and
+/// summed into the fleet totals).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct QuarantineStats {
     /// Listener invocations that returned a dynamic error.

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use crate::net::Response;
+use crate::net::{mix64, Response};
 
 /// How a `behind` call's fetches are retried and timed out.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,13 +78,6 @@ impl RetryPolicy {
             ^ (attempt as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         mix64(x) % (self.jitter_ms + 1)
     }
-}
-
-fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Circuit-breaker states, per the classic closed → open → half-open
@@ -278,8 +271,8 @@ impl StaleCache {
     }
 }
 
-/// Counters for the whole fault/recovery path (mirrored into the app
-/// server's `ServerMetrics` next to the PR 1 engine counters).
+/// Counters for the whole fault/recovery path (served by
+/// `browser:fetchStatus()` and summed into the fleet totals).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// `behind` attempts executed (first tries + retries).

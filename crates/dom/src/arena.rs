@@ -79,12 +79,13 @@ impl Document {
                 return ix;
             }
         }
-        {
-            let mut ix = self.order_index.borrow_mut();
-            ix.rebuild(self, self.epoch);
-            crate::order::stats::record_rebuild();
-        }
+        self.order_index.borrow_mut().rebuild(self, self.epoch);
         self.order_index.borrow()
+    }
+
+    /// Times this document's order index has been (re)built.
+    pub fn order_index_rebuilds(&self) -> u64 {
+        self.order_index.borrow().rebuilds()
     }
 
     /// The document node.

@@ -31,6 +31,6 @@ pub use arena::Document;
 pub use error::{DomError, DomResult};
 pub use name::QName;
 pub use node::{NodeId, NodeKind};
-pub use order::{cmp_doc_order, sort_dedup, OrderIndex};
+pub use order::{cmp_doc_order, sort_dedup, EngineStats, OrderIndex};
 pub use parser::{parse_document, ParseOptions};
 pub use store::{DocId, NodeRef, SharedStore, Store};

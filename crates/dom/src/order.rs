@@ -23,48 +23,32 @@ use crate::arena::Document;
 use crate::node::NodeId;
 use crate::store::{NodeRef, Store};
 
-/// Engine-wide counters for the order index and path normalisation, so the
-/// wins (and rebuild storms) are observable from the app-server metrics.
-pub mod stats {
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+/// Order-index and path-normalisation counters of one [`Store`] (see
+/// [`Store::engine_stats`]), so the wins (and rebuild storms) are
+/// observable per server instance from `/metrics`.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Lazy order-index rebuilds (one O(n) traversal each).
+    pub order_index_rebuilds: u64,
+    /// `sort_dedup` calls that actually sorted (length > 1).
+    pub sorts_performed: u64,
+    /// Axis steps whose normalisation was proven unnecessary.
+    pub sorts_elided: u64,
+}
 
-    static REBUILDS: AtomicU64 = AtomicU64::new(0);
-    static SORTS_PERFORMED: AtomicU64 = AtomicU64::new(0);
-    static SORTS_ELIDED: AtomicU64 = AtomicU64::new(0);
-
-    /// Point-in-time snapshot of the engine counters.
-    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-    pub struct EngineStats {
-        /// Lazy order-index rebuilds (one O(n) traversal each).
-        pub order_index_rebuilds: u64,
-        /// `sort_dedup` calls that actually sorted (length > 1).
-        pub sorts_performed: u64,
-        /// Axis steps whose normalisation was proven unnecessary.
-        pub sorts_elided: u64,
-    }
-
-    pub fn record_rebuild() {
-        REBUILDS.fetch_add(1, Relaxed);
-    }
-    pub fn record_sort() {
-        SORTS_PERFORMED.fetch_add(1, Relaxed);
-    }
-    pub fn record_elided_sort() {
-        SORTS_ELIDED.fetch_add(1, Relaxed);
-    }
-
-    pub fn snapshot() -> EngineStats {
-        EngineStats {
-            order_index_rebuilds: REBUILDS.load(Relaxed),
-            sorts_performed: SORTS_PERFORMED.load(Relaxed),
-            sorts_elided: SORTS_ELIDED.load(Relaxed),
-        }
-    }
-
-    pub fn reset() {
-        REBUILDS.store(0, Relaxed);
-        SORTS_PERFORMED.store(0, Relaxed);
-        SORTS_ELIDED.store(0, Relaxed);
+impl EngineStats {
+    /// Every counter under its `/metrics` element name, in report order.
+    pub fn counters(&self) -> [(&'static str, u64); 3] {
+        let EngineStats {
+            order_index_rebuilds,
+            sorts_performed,
+            sorts_elided,
+        } = *self;
+        [
+            ("order-index-rebuilds", order_index_rebuilds),
+            ("sorts-performed", sorts_performed),
+            ("sorts-elided", sorts_elided),
+        ]
     }
 }
 
@@ -91,11 +75,17 @@ pub struct OrderIndex {
     end: Vec<u32>,
     root: Vec<u32>,
     order: Vec<NodeId>,
+    /// Times this index was (re)built.
+    rebuilds: u64,
 }
 
 impl OrderIndex {
     pub(crate) fn is_fresh(&self, epoch: u64) -> bool {
         self.built_for_epoch == Some(epoch)
+    }
+
+    pub(crate) fn rebuilds(&self) -> u64 {
+        self.rebuilds
     }
 
     /// One O(n) pass over the arena: label every tree in the forest, in
@@ -149,6 +139,7 @@ impl OrderIndex {
         }
         debug_assert_eq!(self.order.len(), n);
         self.built_for_epoch = Some(epoch);
+        self.rebuilds += 1;
     }
 
     /// Pre-order position of `v` within its document's forest.
@@ -226,7 +217,7 @@ pub fn sort_dedup(store: &Store, nodes: &mut Vec<NodeRef>) {
     if nodes.len() <= 1 {
         return;
     }
-    stats::record_sort();
+    store.count_sort();
     let first_doc = nodes[0].doc;
     if nodes.iter().all(|n| n.doc == first_doc) {
         // Single-document fast path: borrow the index once for the whole
@@ -312,7 +303,9 @@ fn order_key(doc: &Document, node: NodeId) -> Vec<Step> {
 /// Reference comparison without the index: tree roots first (detached trees
 /// order by their root `NodeId`, exactly as the index does), then the
 /// child-index paths. Used by property tests to cross-check the index after
-/// arbitrary mutation sequences; not called on any hot path.
+/// arbitrary mutation sequences, and by the evaluator's debug assertions
+/// because it neither builds nor counts an index; not called on any hot
+/// path.
 pub fn cmp_doc_order_local_naive(doc: &Document, a: NodeId, b: NodeId) -> Ordering {
     if a == b {
         return Ordering::Equal;

@@ -5,13 +5,14 @@
 //! (Elsevier scenario, §6.1). The [`Store`] owns all of them; a [`NodeRef`]
 //! names a node globally as `(DocId, NodeId)`.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::arena::Document;
 use crate::error::{DomError, DomResult};
 use crate::node::NodeId;
+use crate::order::EngineStats;
 
 /// Identifier of a document inside a [`Store`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -30,11 +31,18 @@ impl NodeRef {
     }
 }
 
-/// Owns every document visible to an engine instance.
+/// Owns every document visible to an engine instance, and counts the
+/// document-order work done over them (see [`Store::engine_stats`]).
 #[derive(Debug, Default, Clone)]
 pub struct Store {
     docs: Vec<Document>,
     by_uri: HashMap<String, DocId>,
+    /// Order-index rebuilds of arenas [`Store::replace_document`] dropped.
+    replaced_rebuilds: u64,
+    /// `sort_dedup` calls that actually sorted.
+    sorts_performed: Cell<u64>,
+    /// Axis steps whose normalisation the evaluator proved unnecessary.
+    sorts_elided: Cell<u64>,
 }
 
 impl Store {
@@ -94,7 +102,33 @@ impl Store {
     /// which is why reloads happen between query evaluations only.
     pub fn replace_document(&mut self, id: DocId, mut doc: Document) {
         doc.base_uri = self.docs[id.0 as usize].base_uri.clone();
-        self.docs[id.0 as usize] = doc;
+        let old = std::mem::replace(&mut self.docs[id.0 as usize], doc);
+        self.replaced_rebuilds += old.order_index_rebuilds();
+    }
+
+    /// Counts one `sort_dedup` that sorted.
+    pub(crate) fn count_sort(&self) {
+        self.sorts_performed.set(self.sorts_performed.get() + 1);
+    }
+
+    /// Counts one axis step whose normalisation was elided.
+    pub fn count_elided_sort(&self) {
+        self.sorts_elided.set(self.sorts_elided.get() + 1);
+    }
+
+    /// The document-order counters of this store: every evaluation over
+    /// it, and nothing else, since it was created.
+    pub fn engine_stats(&self) -> EngineStats {
+        EngineStats {
+            order_index_rebuilds: self.replaced_rebuilds
+                + self
+                    .docs
+                    .iter()
+                    .map(Document::order_index_rebuilds)
+                    .sum::<u64>(),
+            sorts_performed: self.sorts_performed.get(),
+            sorts_elided: self.sorts_elided.get(),
+        }
     }
 
     /// Every `uri → document` binding, sorted by URI (a stable order for
@@ -211,6 +245,26 @@ mod tests {
         assert_eq!(s.string_value(kids[0]), "hi");
         assert_eq!(s.parent(kids[0]), Some(root_ref));
         assert_eq!(s.parent(root_ref), None);
+    }
+
+    #[test]
+    fn engine_counters_are_per_store_and_survive_reloads() {
+        let mut a = Store::new();
+        let b = Store::new();
+        let d = a.new_document(None);
+        a.doc(d).order_index();
+        a.count_sort();
+        a.count_elided_sort();
+        // a reload drops the arena, not the count of its rebuilds
+        a.replace_document(d, Document::new());
+        a.doc(d).order_index();
+        let counts = EngineStats {
+            order_index_rebuilds: 2,
+            sorts_performed: 1,
+            sorts_elided: 1,
+        };
+        assert_eq!(a.engine_stats(), counts);
+        assert_eq!(b.engine_stats(), EngineStats::default());
     }
 
     #[test]

@@ -159,7 +159,7 @@ impl std::fmt::Display for IntegrityError {
 
 impl std::error::Error for IntegrityError {}
 
-/// Durability counters the server tier surfaces through `ServerMetrics`.
+/// Durability counters of one database, reported on `/metrics`.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct DurabilityStats {
     /// Redo records appended to the WAL.
@@ -181,6 +181,32 @@ pub struct DurabilityStats {
     /// Recovered documents whose content digest disagreed with the digest
     /// recorded in the WAL.
     pub recovery_digest_mismatches: u64,
+}
+
+impl DurabilityStats {
+    /// Every counter under its `/metrics` element name, in report order.
+    pub fn counters(&self) -> [(&'static str, u64); 8] {
+        let DurabilityStats {
+            wal_appends,
+            fsyncs,
+            checkpoints,
+            recoveries,
+            torn_tails_dropped,
+            ckpt_slots_lost,
+            wal_corruptions,
+            recovery_digest_mismatches,
+        } = *self;
+        [
+            ("wal-appends", wal_appends),
+            ("wal-fsyncs", fsyncs),
+            ("checkpoints", checkpoints),
+            ("recoveries", recoveries),
+            ("torn-tails-dropped", torn_tails_dropped),
+            ("ckpt-slots-lost", ckpt_slots_lost),
+            ("wal-corruptions", wal_corruptions),
+            ("recovery-digest-mismatches", recovery_digest_mismatches),
+        ]
+    }
 }
 
 #[cfg(test)]

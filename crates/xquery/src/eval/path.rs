@@ -207,9 +207,18 @@ fn apply_axis_step(
             if input.len() == 1 && axis_is_reverse(step.axis) {
                 out_refs.reverse();
             }
-            xqib_dom::order::stats::record_elided_sort();
+            store.count_elided_sort();
+            // checked against the naive oracle, which neither builds nor
+            // counts an order index: debug and release count alike
             debug_assert!(out_refs.windows(2).all(|w| {
-                xqib_dom::cmp_doc_order(&store, w[0], w[1]) == std::cmp::Ordering::Less
+                let same_doc = || {
+                    xqib_dom::order::cmp_doc_order_local_naive(
+                        store.doc(w[0].doc),
+                        w[0].node,
+                        w[1].node,
+                    )
+                };
+                w[0].doc.cmp(&w[1].doc).then_with(same_doc) == std::cmp::Ordering::Less
             }));
         } else {
             xqib_dom::order::sort_dedup(&store, &mut out_refs);

@@ -450,7 +450,7 @@ fn eager_axis_step(
             if input.len() == 1 && axis_is_reverse(step.axis) {
                 out_refs.reverse();
             }
-            xqib_dom::order::stats::record_elided_sort();
+            store.count_elided_sort();
         } else {
             xqib_dom::order::sort_dedup(&store, &mut out_refs);
         }

@@ -40,7 +40,7 @@ use xqib_xdm::XdmResult;
 use crate::plan::{lower, CompiledPlan};
 use crate::runtime::{compile_with, ModuleRegistry};
 
-/// Hit/miss/eviction counters, cheap to copy into server metrics.
+/// Hit/miss/eviction counters of one plan cache, reported on `/metrics`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups answered from the cache.
@@ -52,6 +52,24 @@ pub struct PlanCacheStats {
     pub evictions: u64,
     /// Epoch bumps (each drops the whole cache).
     pub invalidations: u64,
+}
+
+impl PlanCacheStats {
+    /// Every counter under its `/metrics` element name, in report order.
+    pub fn counters(&self) -> [(&'static str, u64); 4] {
+        let PlanCacheStats {
+            hits,
+            misses,
+            evictions,
+            invalidations,
+        } = *self;
+        [
+            ("plan-cache-hits", hits),
+            ("plan-cache-misses", misses),
+            ("plan-cache-evictions", evictions),
+            ("plan-cache-invalidations", invalidations),
+        ]
+    }
 }
 
 struct Entry {
