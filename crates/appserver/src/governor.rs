@@ -108,11 +108,12 @@ pub struct GovernorConfig {
 
 impl Default for GovernorConfig {
     fn default() -> Self {
-        // Calibration: with the default corpus a `/page` render costs
-        // ≈2.1k fuel, the `/index` page ≈3.3k and an ad-hoc count query
-        // ≈1.6k, so at 100 fuel/ms renders take ≈20–35 virtual ms (a
-        // mixed workload saturates around 60 req/s) and the 100 ms render
-        // deadline leaves honest headroom under moderate queueing.
+        // Calibration: with the default corpus a compiled `/page` render
+        // costs ≈1.8k fuel, the `/index` page ≈3.3k and an ad-hoc count
+        // query ≈1.6k, so at 100 fuel/ms renders take ≈18–33 virtual ms
+        // and the 100 ms render deadline leaves honest headroom under
+        // moderate queueing. On the 128-article benchmark corpus they cost
+        // ≈4.5k and ≈8.7k.
         GovernorConfig {
             queue_capacity: 64,
             deadline_ms: [100, 150, 200], // render, update, query

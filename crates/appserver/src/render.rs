@@ -105,6 +105,45 @@ mod tests {
         assert_eq!(years, sorted);
     }
 
+    /// Both render queries lower with no interpreter fallback and, on the
+    /// end-to-end benchmark's corpus (128 articles), charge no more fuel
+    /// compiled than interpreted and fit the default render deadline.
+    #[test]
+    fn render_queries_run_compiled_within_the_render_deadline() {
+        use crate::governor::{Class, GovernorConfig};
+        let spec = CorpusSpec {
+            journals: 4,
+            volumes_per_journal: 4,
+            issues_per_volume: 2,
+            articles_per_issue: 4,
+            references_per_article: 5,
+            ..CorpusSpec::default()
+        };
+        let xml = generate_corpus(&spec);
+        let cfg = GovernorConfig::default();
+        let budget = cfg.deadline_ms[Class::Render.index()] * cfg.fuel_per_ms;
+        for q in [article_page_query("j3-v3-i1-a3"), index_page_query()] {
+            let plan = xqib_xquery::plan::lower(&xqib_xquery::runtime::compile(&q).unwrap());
+            assert_eq!(plan.stats().fallbacks, 0, "{q}");
+            let fuel = |plan_mode: bool| {
+                let mut db = XmlDb::new();
+                db.plan_mode = plan_mode;
+                db.load(CORPUS_URI, &xml).unwrap();
+                let (html, fuel) = db.query_with_deadline(&q, None);
+                (html.unwrap(), fuel)
+            };
+            let (compiled, interpreted) = (fuel(true), fuel(false));
+            assert_eq!(compiled.0, interpreted.0);
+            assert!(
+                compiled.1 <= interpreted.1,
+                "{} vs {}",
+                compiled.1,
+                interpreted.1
+            );
+            assert!(compiled.1 < budget, "{} fuel of {budget}", compiled.1);
+        }
+    }
+
     #[test]
     fn index_page_lists_journals() {
         let mut db = db();

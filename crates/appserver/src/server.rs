@@ -353,9 +353,23 @@ mod tests {
         assert_eq!(s.db.evals, 1);
         assert!(s.metrics.bytes_out > 0);
         // The counters belong to this server's store, so they are exact.
-        // The page's two multi-node steps each run from a single context
-        // node, so their normalisation is elided and the render never
-        // needs the order index.
+        // The compiled render streams every path in document order, so it
+        // neither sorts nor needs the order index.
+        assert_eq!(
+            s.db.engine_stats(),
+            xqib_dom::EngineStats {
+                order_index_rebuilds: 0,
+                sorts_performed: 0,
+                sorts_elided: 0,
+            }
+        );
+        // The interpreter renders the same page; its two multi-node steps
+        // each run from a single context node, so their normalisation is
+        // elided and the render still never needs the order index.
+        let mut s = server();
+        s.db.plan_mode = false;
+        let interpreted = s.handle("http://ref2.example/page?article=j0-v0-i0-a0");
+        assert_eq!(interpreted.body, r.body);
         assert_eq!(
             s.db.engine_stats(),
             xqib_dom::EngineStats {
@@ -363,6 +377,32 @@ mod tests {
                 sorts_performed: 0,
                 sorts_elided: 2,
             }
+        );
+    }
+
+    /// Nodes held by the store beyond each document's document node.
+    fn arena_content(s: &AppServer) -> usize {
+        let store = s.db.store.borrow();
+        (0..store.doc_count())
+            .map(|i| store.doc(xqib_dom::DocId(i as u32)).len() - 1)
+            .sum()
+    }
+
+    #[test]
+    fn renders_free_their_construction_arenas() {
+        let mut s = server();
+        let pages = ["j0-v0-i0-a0", "j1-v0-i1-a1", "j0-v1-i0-a2"];
+        assert_eq!(s.handle("/page?article=j0-v0-i0-a0").status, 200);
+        let after_first = arena_content(&s);
+        for i in 1..1000 {
+            let r = s.handle(&format!("/page?article={}", pages[i % pages.len()]));
+            assert_eq!(r.status, 200);
+        }
+        // each render leaves only an empty document in its arena's slot
+        let after = arena_content(&s);
+        assert!(
+            after <= after_first + 16,
+            "arena content grew from {after_first} to {after}"
         );
     }
 

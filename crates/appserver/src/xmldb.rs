@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use xqib_dom::store::shared_store;
-use xqib_dom::{DocId, EngineStats, SharedStore};
+use xqib_dom::{DocId, Document, EngineStats, SharedStore};
 use xqib_storage::{
     content_digest, mix64, Checkpoint, DiskError, DurabilityStats, IntegrityError, ShippedFrame,
     VirtualDisk, Wal, WalRecord, CKPT_SLOTS, WAL_FILE,
@@ -413,11 +413,9 @@ impl XmlDb {
         self.install_journal(&mut ctx);
         let result = exec.run(&mut ctx);
         self.finish_writes(&mut ctx);
-        let fuel_used = ctx.fuel_used;
-        (
-            result.map(|r| runtime::render_sequence(&ctx, &r)),
-            fuel_used,
-        )
+        let result = result.map(|r| runtime::render_sequence(&ctx, &r));
+        self.free_construction(&ctx);
+        (result, ctx.fuel_used)
     }
 
     /// Runs an XQuery with the context item set to a stored document.
@@ -440,8 +438,9 @@ impl XmlDb {
         self.install_journal(&mut ctx);
         let result = exec.run(&mut ctx);
         self.finish_writes(&mut ctx);
-        let result = result?;
-        Ok(runtime::render_sequence(&ctx, &result))
+        let result = result.map(|r| runtime::render_sequence(&ctx, &r));
+        self.free_construction(&ctx);
+        result
     }
 
     /// Resolves `src` to something runnable: a cached (or freshly lowered)
@@ -687,6 +686,18 @@ impl XmlDb {
             seq: d.last_committed,
             docs,
         })
+    }
+
+    /// Drops a finished query's construction arena. Its nodes were either
+    /// serialised into the result or deep-copied into stored documents by
+    /// the applied update list, so nothing can reach them any more. An
+    /// empty document keeps the `DocId` slot, so ids and cross-document
+    /// order do not move, and the store keeps the dropped arena's
+    /// order-index rebuild count.
+    fn free_construction(&self, ctx: &DynamicContext) {
+        self.store
+            .borrow_mut()
+            .replace_document(ctx.construction_doc, Document::new());
     }
 
     fn install_journal(&self, ctx: &mut DynamicContext) {

@@ -149,22 +149,45 @@ pub enum Quantifier {
     Every,
 }
 
-/// Content of a direct element constructor.
+/// Content of a direct element constructor. `E` is the form its
+/// expressions take: AST [`Expr`]s, or lowered plans in the plan tier.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ElemContent {
+pub enum ElemContent<E = Expr> {
     /// literal character data
     Text(String),
     /// `{ expr }`
-    Enclosed(Expr),
-    /// nested constructor or other expression-valued child
-    Child(Expr),
+    Enclosed(E),
+    /// nested direct constructor (element, comment or PI): its result is a
+    /// fresh node nothing else can reference
+    Child(E),
 }
 
 /// Content of an attribute value template: literal and enclosed parts.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AttrContent {
+pub enum AttrContent<E = Expr> {
     Text(String),
-    Enclosed(Expr),
+    Enclosed(E),
+}
+
+impl<E> ElemContent<E> {
+    /// The same content with its expression converted by `f`.
+    pub(crate) fn map<F>(&self, f: impl FnOnce(&E) -> F) -> ElemContent<F> {
+        match self {
+            ElemContent::Text(t) => ElemContent::Text(t.clone()),
+            ElemContent::Enclosed(e) => ElemContent::Enclosed(f(e)),
+            ElemContent::Child(e) => ElemContent::Child(f(e)),
+        }
+    }
+}
+
+impl<E> AttrContent<E> {
+    /// The same part with its expression converted by `f`.
+    pub(crate) fn map<F>(&self, f: impl FnOnce(&E) -> F) -> AttrContent<F> {
+        match self {
+            AttrContent::Text(t) => AttrContent::Text(t.clone()),
+            AttrContent::Enclosed(e) => AttrContent::Enclosed(f(e)),
+        }
+    }
 }
 
 /// Insert positions of the Update Facility.

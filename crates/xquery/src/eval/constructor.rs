@@ -3,6 +3,8 @@
 //!
 //! Constructed nodes live in the dynamic context's construction document and
 //! are deep-copied into target documents by the Update Facility on insert.
+//! A nested direct constructor's node is attached to its parent as built;
+//! enclosed content (`{...}`) is copied (see `build_element`).
 
 use xqib_dom::{DocId, NodeId, NodeRef, QName};
 use xqib_xdm::{atomize, Item, Sequence, XdmError, XdmResult};
@@ -20,7 +22,7 @@ pub(crate) fn eval_constructor(ctx: &mut DynamicContext, e: &Expr) -> XdmResult<
             ns_decls,
             children,
         } => {
-            let elem = build_element(ctx, name.clone(), ns_decls, attrs, children)?;
+            let elem = build_element(ctx, name, ns_decls, attrs, children, eval_expr)?;
             Ok(vec![Item::Node(elem)])
         }
         Expr::ComputedElement { name, content } => {
@@ -140,18 +142,23 @@ fn resolve_name(ctx: &mut DynamicContext, name: &NameExpr) -> XdmResult<QName> {
     }
 }
 
-fn build_element(
+/// Builds a direct element constructor's element in the construction
+/// document. Both tiers call this: `eval` evaluates one enclosed part,
+/// `eval_expr` over the AST or `eval_plan` over its lowered form, so the
+/// content rules below exist once.
+pub(crate) fn build_element<E>(
     ctx: &mut DynamicContext,
-    name: QName,
+    name: &QName,
     ns_decls: &[(String, String)],
-    attrs: &[(QName, Vec<AttrContent>)],
-    children: &[ElemContent],
+    attrs: &[(QName, Vec<AttrContent<E>>)],
+    children: &[ElemContent<E>],
+    eval: fn(&mut DynamicContext, &E) -> XdmResult<Sequence>,
 ) -> XdmResult<NodeRef> {
     let doc_id = ctx.construction_doc;
     let elem = {
         let mut store = ctx.store.borrow_mut();
         let doc = store.doc_mut(doc_id);
-        let e = doc.create_element(name);
+        let e = doc.create_element(name.clone());
         for (p, u) in ns_decls {
             doc.add_ns_decl(e, p.clone(), u.clone())
                 .map_err(|er| XdmError::new("XQDY0025", er.to_string()))?;
@@ -166,7 +173,7 @@ fn build_element(
             match part {
                 AttrContent::Text(t) => value.push_str(t),
                 AttrContent::Enclosed(e) => {
-                    let seq = eval_expr(ctx, e)?;
+                    let seq = eval(ctx, e)?;
                     value.push_str(&sequence_to_string(ctx, &seq));
                 }
             }
@@ -187,13 +194,41 @@ fn build_element(
                 doc.append_child(elem, tn)
                     .map_err(|er| XdmError::new("XQTY0024", er.to_string()))?;
             }
-            ElemContent::Enclosed(e) | ElemContent::Child(e) => {
-                let seq = eval_expr(ctx, e)?;
+            ElemContent::Child(e) => {
+                let seq = eval(ctx, e)?;
+                match fresh_node(ctx, doc_id, &seq) {
+                    Some(n) => {
+                        let mut store = ctx.store.borrow_mut();
+                        store
+                            .doc_mut(doc_id)
+                            .append_child(elem, n)
+                            .map_err(|er| XdmError::new("XQTY0024", er.to_string()))?;
+                    }
+                    None => add_content(ctx, elem_ref, &seq)?,
+                }
+            }
+            ElemContent::Enclosed(e) => {
+                let seq = eval(ctx, e)?;
                 add_content(ctx, elem_ref, &seq)?;
             }
         }
     }
     Ok(elem_ref)
+}
+
+/// The node a nested direct constructor built, when it can be attached
+/// instead of copied: exactly one parentless node of the construction
+/// document. No variable can reference it, so attaching it is
+/// indistinguishable from attaching a deep copy. Enclosed content never
+/// takes this path, because there identity is observable (`{$x}`).
+fn fresh_node(ctx: &DynamicContext, doc_id: DocId, seq: &Sequence) -> Option<NodeId> {
+    match seq.as_slice() {
+        [Item::Node(n)] if n.doc == doc_id => {
+            let store = ctx.store.borrow();
+            store.doc(doc_id).parent(n.node).is_none().then_some(n.node)
+        }
+        _ => None,
+    }
 }
 
 /// Content-sequence processing: adjacent atomic values are joined with

@@ -38,6 +38,7 @@ use xqib_xdm::{
 use crate::ast::Axis;
 use crate::context::DynamicContext;
 use crate::eval::arith::{apply_arith, atomic_from_seq, neg_atomic, range_bounds};
+use crate::eval::constructor::build_element;
 use crate::eval::flwor::sort_keyed;
 use crate::eval::path::{
     axis_concat_stays_sorted, axis_is_reverse, axis_nodes, node_test_matches, take_index, PosTake,
@@ -249,6 +250,15 @@ pub(crate) fn eval_plan(ctx: &mut DynamicContext, p: &Plan) -> XdmResult<Sequenc
             }
             eval::call_function(ctx, name, argv)
         }
+        Plan::Element(el) => build_element(
+            ctx,
+            &el.name,
+            &el.ns_decls,
+            &el.attrs,
+            &el.children,
+            eval_plan,
+        )
+        .map(|n| vec![Item::Node(n)]),
     }
 }
 
@@ -1290,6 +1300,65 @@ mod tests {
         let a = interp(src, store_with_doc(DOC), None);
         let b = compiled(src, store_with_doc(DOC), None);
         assert_eq!(a, b, "compiled/interpreted divergence on `{src}`");
+    }
+
+    /// Runs `src` in both tiers and requires both to render `want`.
+    fn both(src: &str, want: &str) {
+        let a = interp(src, store_with_doc(DOC), None);
+        let b = compiled(src, store_with_doc(DOC), None);
+        assert_eq!(a.as_deref(), Ok(want), "interpreted `{src}`");
+        assert_eq!(b.as_deref(), Ok(want), "compiled `{src}`");
+    }
+
+    #[test]
+    fn nested_constructors_are_attached_with_stable_identity() {
+        both(
+            "let $x := <a><b/></a> return ($x/b is $x/b, $x/b/.. is $x)",
+            "true true",
+        );
+    }
+
+    #[test]
+    fn enclosed_nodes_are_copied() {
+        both(
+            "let $b := <b/> let $a := <a>{$b}</a> return $a/b is $b",
+            "false",
+        );
+        both(
+            "let $b := <b/> let $a := <a>{$b}</a> return exists($b/..)",
+            "false",
+        );
+    }
+
+    #[test]
+    fn attached_and_copied_children_keep_content_order() {
+        both(
+            "for $e in <r><a/>{<b/>}<c/></r>/* return local-name($e)",
+            "a b c",
+        );
+        both(
+            "<r x=\"{1 + 1}\">t<!--c--><?p d?>{(1, 2), <e/>}</r>",
+            "<r x=\"2\">t<!--c--><?p d?>1 2<e/></r>",
+        );
+    }
+
+    #[test]
+    fn constructor_errors_agree() {
+        // an attribute after content inside one enclosed expression
+        for src in [
+            "<a>{(<b/>, attribute x {1})}</a>",
+            "<a>{(1, attribute x {1})}</a>",
+        ] {
+            same(src);
+            let got = compiled(src, store_with_doc(DOC), None);
+            assert_eq!(got, Err("XQTY0024".to_string()), "{src}");
+        }
+        // a nested constructor's enclosed error surfaces unchanged
+        same("<a><b>{1 div 0}</b></a>");
+        assert_eq!(
+            compiled("<a><b>{1 div 0}</b></a>", store_with_doc(DOC), None),
+            Err("FOAR0001".to_string())
+        );
     }
 
     #[test]

@@ -23,10 +23,13 @@
 //!   over unshadowed `fn:` names become dedicated plan nodes the streaming
 //!   executor can satisfy without draining their operand.
 //!
-//! Anything the IR does not model (constructors, updates, full-text,
-//! type-switch, events, …) lowers to [`Plan::Fallback`], which the executor
-//! hands verbatim to the interpreter — the plan tier is a fast path, never
-//! a second dialect.
+//! Direct element constructors lower to [`Plan::Element`], whose enclosed
+//! expressions are plans in their own right; the executor builds the
+//! element through the interpreter's own builder, so a server-rendered
+//! page runs compiled from its root down. Anything the IR does not model
+//! (computed constructors, updates, full-text, type-switch, events, …)
+//! lowers to [`Plan::Fallback`], which the executor hands verbatim to the
+//! interpreter — the plan tier is a fast path, never a second dialect.
 //!
 //! # Streaming soundness
 //!
@@ -51,7 +54,8 @@ use xqib_xdm::{
 };
 
 use crate::ast::{
-    ArithOp, Axis, AxisStep, Expr, FlworClause, KindTest, NodeTest, PathStart, Statement, StepExpr,
+    ArithOp, AttrContent, Axis, AxisStep, ElemContent, Expr, FlworClause, KindTest, NodeTest,
+    PathStart, Statement, StepExpr,
 };
 use crate::context::StaticContext;
 use crate::eval::arith::{apply_arith, neg_atomic, range_bounds};
@@ -146,8 +150,20 @@ pub(crate) enum Plan {
         name: QName,
         args: Vec<Plan>,
     },
+    /// direct element constructor, built by the interpreter's builder with
+    /// its enclosed parts evaluated as plans; never folded, because every
+    /// evaluation must build new nodes
+    Element(Box<ElementPlan>),
     /// anything the IR does not model: evaluated by the interpreter
     Fallback(Rc<Expr>),
+}
+
+/// A lowered `Expr::DirectElement`.
+pub(crate) struct ElementPlan {
+    pub name: QName,
+    pub ns_decls: Vec<(String, String)>,
+    pub attrs: Vec<(QName, Vec<AttrContent<Plan>>)>,
+    pub children: Vec<ElemContent<Plan>>,
 }
 
 pub(crate) enum PlanClause {
@@ -355,6 +371,25 @@ pub(crate) fn lower_expr(sctx: &StaticContext, e: &Expr, stats: &mut PlanStats) 
         },
         Expr::Path { start, steps } => lower_path(sctx, *start, steps, stats),
         Expr::FunctionCall { name, args } => lower_call(sctx, name, args, stats),
+        Expr::DirectElement {
+            name,
+            attrs,
+            ns_decls,
+            children,
+        } => {
+            let mut lower = |e: &Expr| lower_expr(sctx, e, stats);
+            let attrs = attrs
+                .iter()
+                .map(|(q, parts)| (q.clone(), parts.iter().map(|p| p.map(&mut lower)).collect()))
+                .collect();
+            let children = children.iter().map(|c| c.map(&mut lower)).collect();
+            Plan::Element(Box::new(ElementPlan {
+                name: name.clone(),
+                ns_decls: ns_decls.clone(),
+                attrs,
+                children,
+            }))
+        }
         other => {
             stats.fallbacks += 1;
             Plan::Fallback(Rc::new(other.clone()))
@@ -1305,9 +1340,34 @@ mod tests {
     }
 
     #[test]
+    fn direct_constructors_lower() {
+        let p = plan_of("<a x=\"{1 + 1}\">t<b/>{//c[@id = \"k\"]}</a>");
+        let Plan::Element(el) = body_plan(&p) else {
+            panic!("expected an element plan");
+        };
+        assert!(matches!(
+            el.attrs[0].1[0],
+            AttrContent::Enclosed(Plan::Const(_))
+        ));
+        assert!(matches!(
+            el.children[1],
+            ElemContent::Child(Plan::Element(_))
+        ));
+        assert!(matches!(
+            el.children[2],
+            ElemContent::Enclosed(Plan::Path(_))
+        ));
+        assert_eq!(p.stats.fallbacks, 0);
+        assert_eq!(p.stats.fused_steps, 1);
+    }
+
+    #[test]
     fn uncovered_constructs_fall_back() {
-        let p = plan_of("<a>{1}</a>");
+        let p = plan_of("typeswitch (1) case xs:integer return 1 default return 2");
         assert!(matches!(body_plan(&p), Plan::Fallback(_)));
+        assert_eq!(p.stats.fallbacks, 1);
+        // computed constructors stay with the interpreter
+        let p = plan_of("<a>{element b {1}}</a>");
         assert_eq!(p.stats.fallbacks, 1);
     }
 }

@@ -121,7 +121,7 @@ fn gen_expr(rng: &mut Rng, depth: u64) -> String {
             _ => gen_path(rng),
         };
     }
-    match rng.below(12) {
+    match rng.below(13) {
         0 => format!(
             "{} {} {}",
             gen_expr(rng, depth - 1),
@@ -177,8 +177,51 @@ fn gen_expr(rng: &mut Rng, depth: u64) -> String {
             gen_path(rng),
             gen_expr(rng, depth - 1)
         ),
+        11 => match rng.below(3) {
+            0 => format!("({})/node()", gen_ctor(rng, depth - 1)),
+            1 => format!(
+                "(let $e{d} := {} return ($e{d}/*/.. is $e{d}, $e{d}/*[1] is $e{d}/*[1]))",
+                gen_ctor(rng, depth - 1),
+                d = depth
+            ),
+            _ => gen_ctor(rng, depth - 1),
+        },
         _ => format!("sum(({}))", gen_expr(rng, depth - 1)),
     }
+}
+
+/// A direct element constructor: attribute value templates, literal text,
+/// enclosed atomics and nodes, nested direct elements, comments and PIs,
+/// and now and then an attribute after content (`XQTY0024`).
+fn gen_ctor(rng: &mut Rng, depth: u64) -> String {
+    let tag = rng.pick(&TAGS);
+    let mut out = format!("<{tag}");
+    if rng.below(2) == 0 {
+        // leaf expressions only: they hold no quotes or braces
+        out.push_str(&format!(
+            " id=\"{}-{{{}}}\"",
+            rng.pick(&IDS),
+            gen_expr(rng, 0)
+        ));
+    }
+    out.push('>');
+    for _ in 0..rng.below(4) {
+        match rng.below(7) {
+            0 => out.push_str("t "),
+            1 => out.push_str(&format!("{{{}}}", gen_expr(rng, depth.saturating_sub(1)))),
+            2 => out.push_str(&format!("{{{}, {}}}", rng.below(9), gen_path(rng))),
+            3 if depth > 0 => out.push_str(&gen_ctor(rng, depth - 1)),
+            3 => out.push_str(&format!("<{}/>", rng.pick(&TAGS))),
+            4 => out.push_str("<!--c-->"),
+            5 => out.push_str("<?p d?>"),
+            _ => out.push_str(&format!(
+                "{{({}, attribute x {{'v'}})}}",
+                rng.pick(&["()", "1", "<e/>"])
+            )),
+        }
+    }
+    out.push_str(&format!("</{tag}>"));
+    out
 }
 
 /// Randomised updating statements over the generated document, exercising
@@ -186,7 +229,10 @@ fn gen_expr(rng: &mut Rng, depth: u64) -> String {
 fn gen_update(rng: &mut Rng) -> String {
     let target = format!("(doc('t.xml')//{})[1]", rng.pick(&TAGS));
     match rng.below(4) {
-        0 => format!("insert node <n{}/> into {target}", rng.below(5)),
+        0 => format!(
+            "let $n := {} return insert node $n into {target}",
+            gen_ctor(rng, 2)
+        ),
         1 => format!("delete node {target}"),
         2 => format!("rename node {target} as 'z{}'", rng.below(5)),
         _ => format!("replace value of node {target} with '{}'", rng.below(50)),
