@@ -4,10 +4,14 @@
 //! shards by a consistent-hash ring; each shard is one durable leader
 //! ([`AppServer`]) plus K followers that replicate by **WAL shipping**: the
 //! leader sends its committed WAL frames — the exact on-disk bytes, CRC
-//! and all — over a fault-injected [`VirtualNetwork`], and each follower
-//! replays them through the same [`apply_wal_record`] redo path recovery
-//! uses, appending the raw frames to its *own* WAL so its disk image stays
-//! a byte-prefix of the leader's log (modulo its own checkpoints).
+//! and all — over a fault-injected [`VirtualNetwork`]. A follower is a
+//! durable [`XmlDb`] too, on its own seat's disk: it replays shipped
+//! frames through the same redo step recovery uses, appending the raw
+//! frames to its *own* WAL so its disk image stays a byte-prefix of the
+//! leader's log (modulo its own checkpoints), and it keeps the digests the
+//! shipped digest frames seal, exactly as the leader does. One type owns
+//! "durable store" for every seat; a follower adds only its role state
+//! (shard, term, topology) and the shipping protocol.
 //!
 //! The protocol leans on three properties the storage tier already has:
 //!
@@ -65,11 +69,9 @@ use std::rc::Rc;
 
 use xqib_browser::recovery::{CircuitBreaker, RecoveryStats, RetryPolicy};
 use xqib_browser::{FaultPlan, NetOutcome, Request, Response, VirtualNetwork};
-use xqib_dom::store::shared_store;
-use xqib_dom::SharedStore;
 use xqib_storage::{
     content_digest, fnv1a, mix64, Checkpoint, IntegrityError, StorageFaultPlan, VirtualDisk, Wal,
-    WalRecord, WAL_FILE,
+    WalRecord,
 };
 use xqib_xquery::wire;
 
@@ -78,7 +80,7 @@ use crate::governor::Class;
 use crate::metrics::{self, OuterStats};
 use crate::render;
 use crate::server::{param, split_url, AppServer, ServerResponse};
-use crate::xmldb::{apply_wal_record, DurabilityConfig, XmlDb};
+use crate::xmldb::{DurabilityConfig, XmlDb};
 
 /// Lowercase-hex encodes replication payloads for the text-bodied
 /// [`Request`] transport.
@@ -478,6 +480,17 @@ impl ReplicationStats {
     }
 }
 
+/// Typed verdicts for a seat's durable image: whether its WAL holds
+/// mid-prefix damage (a torn tail is the expected crash shape, not
+/// damage), and every corrupt checkpoint slot.
+fn disk_verdicts(db: &XmlDb) -> (bool, Vec<IntegrityError>) {
+    let wal_rot = matches!(
+        db.wal_integrity(),
+        Some(IntegrityError::WalCorruption { .. })
+    );
+    (wal_rot, db.checkpoint_integrity())
+}
+
 /// Cumulative end-to-end integrity counters: latent decay observed, scrub
 /// verdicts, quarantines and verified repairs, reported on the cluster's
 /// `/metrics`.
@@ -522,6 +535,24 @@ pub struct IntegrityStats {
 }
 
 impl IntegrityStats {
+    /// Counts one scrub probe of a seat's durable image — leader or
+    /// follower alike — and returns `(mid-prefix WAL rot, checkpoint-slot
+    /// damage)`.
+    fn count_disk_damage(&mut self, db: &XmlDb) -> (bool, bool) {
+        let (wal_rot, verdicts) = disk_verdicts(db);
+        if wal_rot {
+            self.scrub_wal_corruptions += 1;
+        }
+        for v in &verdicts {
+            match v {
+                IntegrityError::CheckpointSlotCorrupt { .. } => self.scrub_ckpt_corruptions += 1,
+                IntegrityError::AllCheckpointSlotsCorrupt => self.scrub_ckpt_lost += 1,
+                _ => {}
+            }
+        }
+        (wal_rot, !verdicts.is_empty())
+    }
+
     /// Every counter under its `/metrics` element name, in report order.
     pub fn counters(&self) -> [(&'static str, u64); 15] {
         let IntegrityStats {
@@ -576,10 +607,10 @@ pub struct ClusterConfig {
     /// Followers that must durably ack an update before the client sees
     /// 200 (clamped to the live follower count; 0 = leader-only acks).
     pub ack_replicas: usize,
-    /// Leader durability (group commit, checkpoint threshold).
+    /// Durability of every seat: the checkpoint threshold applies to
+    /// leaders and followers alike; group commit is the leader's, since a
+    /// follower fsyncs once per accepted shipment, which its ack promises.
     pub durability: DurabilityConfig,
-    /// Follower durability (checkpoint threshold for the shipped log).
-    pub follower_durability: DurabilityConfig,
     /// Fault plan template for every replication link; reseeded per
     /// follower host so links fail independently.
     pub repl_fault: Option<FaultPlan>,
@@ -628,7 +659,6 @@ impl Default for ClusterConfig {
             followers: 1,
             ack_replicas: 1,
             durability: DurabilityConfig::default(),
-            follower_durability: DurabilityConfig::default(),
             repl_fault: None,
             ship_truncate_permille: 0,
             max_batch_frames: 64,
@@ -653,25 +683,22 @@ impl Default for ClusterConfig {
 // Follower
 // ---------------------------------------------------------------------
 
-/// A follower replica: its own store, disk and WAL position. Lives behind
-/// the seat's network handler; the leader only ever talks to it through
-/// [`VirtualNetwork`] messages.
+/// A follower replica: a durable [`XmlDb`] on its seat's disk, fed by
+/// shipped frames, plus its role state. Lives behind the seat's network
+/// handler; the leader only ever talks to it through [`VirtualNetwork`]
+/// messages. The database's appended sequence is the highest frame
+/// applied to memory, its committed sequence the highest durable on this
+/// replica's own disk — the position its acks report.
 pub struct ReplicaNode {
     shard: usize,
     term: u64,
-    store: SharedStore,
-    disk: VirtualDisk,
-    cfg: DurabilityConfig,
+    db: XmlDb,
     topology: Topology,
     stats: Rc<RefCell<ReplicationStats>>,
-    ckpt_gen: u64,
-    /// Highest frame applied to the in-memory store.
-    applied: u64,
-    /// Highest frame durable on this follower's own disk.
-    acked: u64,
 }
 
 impl ReplicaNode {
+    /// An empty replica at term 0 over a freshly wiped `disk`.
     fn fresh(
         shard: usize,
         disk: VirtualDisk,
@@ -679,33 +706,13 @@ impl ReplicaNode {
         stats: Rc<RefCell<ReplicationStats>>,
         cfg: DurabilityConfig,
     ) -> ReplicaNode {
-        disk.delete(WAL_FILE);
         ReplicaNode {
             shard,
             term: 0,
-            store: shared_store(),
-            disk,
-            cfg,
+            db: XmlDb::durable(disk, cfg),
             topology,
             stats,
-            ckpt_gen: 0,
-            applied: 0,
-            acked: 0,
         }
-    }
-
-    pub fn applied(&self) -> u64 {
-        self.applied
-    }
-
-    pub fn acked(&self) -> u64 {
-        self.acked
-    }
-
-    pub fn serialize(&self, uri: &str) -> Option<String> {
-        let store = self.store.borrow();
-        let id = store.doc_by_uri(uri)?;
-        Some(xqib_dom::serialize::serialize_document(store.doc(id)))
     }
 
     fn owns(&self, record: &WalRecord) -> bool {
@@ -738,10 +745,11 @@ impl ReplicaNode {
         for (seq, record, end) in replay.records {
             let bytes = &data[start..end];
             start = end;
-            if seq <= self.applied {
+            let applied = self.db.appended_seq();
+            if seq <= applied {
                 continue; // idempotent resend after a lost ack
             }
-            if seq != self.applied + 1 {
+            if seq != applied + 1 {
                 break; // gap: the sender must fall back to a snapshot
             }
             if !self.owns(&record) {
@@ -749,17 +757,12 @@ impl ReplicaNode {
                 refused = true;
                 break;
             }
-            if !apply_wal_record(&self.store, &record) {
+            if !self.db.accept_frame(seq, &record, bytes) {
                 break;
             }
-            self.disk.append(WAL_FILE, bytes);
-            self.applied = seq;
         }
-        if self.applied > self.acked && self.disk.sync(WAL_FILE).is_ok() {
-            self.acked = self.applied;
-        }
-        self.maybe_checkpoint();
-        Some((self.acked, refused))
+        self.db.commit_shipment();
+        Some((self.db.committed_seq(), refused))
     }
 
     /// Installs a full snapshot (log-gap resync or new-term reset),
@@ -776,80 +779,11 @@ impl ReplicaNode {
                 return None;
             }
         }
-        let store = shared_store();
-        for (uri, xml) in &ck.docs {
-            let doc = xqib_dom::parse_document(xml).ok()?;
-            store.borrow_mut().add_document(doc, Some(uri));
-        }
-        let local = Checkpoint {
-            gen: self.ckpt_gen + 1,
-            seq: ck.seq,
-            docs: ck.docs,
-        };
-        if local.write(&self.disk).is_err() {
+        if !self.db.install_snapshot(ck) {
             return None;
         }
-        self.ckpt_gen += 1;
-        self.disk.truncate(WAL_FILE);
         self.term = term;
-        self.store = store;
-        self.applied = local.seq;
-        self.acked = local.seq;
-        Some(self.acked)
-    }
-
-    /// Followers checkpoint independently once their copy of the log grows
-    /// past the threshold, truncating it just like the leader does.
-    fn maybe_checkpoint(&mut self) {
-        let threshold = self.cfg.checkpoint_threshold;
-        if threshold == 0 || self.disk.len(WAL_FILE) <= threshold {
-            return;
-        }
-        self.force_checkpoint();
-    }
-
-    /// Writes a fresh checkpoint from the replica's intact in-memory state
-    /// and truncates its WAL. Beyond the size-triggered housekeeping this
-    /// is the node-local *repair* path: a rotted WAL frame or checkpoint
-    /// slot is superseded wholesale by a new snapshot of memory, with no
-    /// window where acked state exists only on damaged media.
-    fn force_checkpoint(&mut self) -> bool {
-        let docs = {
-            let store = self.store.borrow();
-            store
-                .uri_bindings()
-                .into_iter()
-                .map(|(uri, id)| (uri, xqib_dom::serialize::serialize_document(store.doc(id))))
-                .collect()
-        };
-        let ck = Checkpoint {
-            gen: self.ckpt_gen + 1,
-            seq: self.applied,
-            docs,
-        };
-        if ck.write(&self.disk).is_ok() {
-            self.ckpt_gen += 1;
-            self.disk.truncate(WAL_FILE);
-            // the checkpoint write fsynced the slot: state is durable
-            self.acked = self.applied;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Recomputed content digest of one locally-held document.
-    fn digest_for(&self, uri: &str) -> Option<u64> {
-        self.serialize(uri).map(|xml| content_digest(uri, &xml))
-    }
-
-    /// Typed integrity verdicts for this replica's own disk image:
-    /// mid-prefix WAL damage plus any checkpoint-slot verdicts. A torn WAL
-    /// tail is *not* reported — it is the expected crash shape.
-    fn disk_damage(&self) -> (bool, Vec<IntegrityError>) {
-        let wal_rot = Wal::scan(&self.disk, WAL_FILE).mid_prefix_damage();
-        let (_, verdicts) = Checkpoint::read_latest_verified(&self.disk);
-        (wal_rot, verdicts)
+        Some(self.db.committed_seq())
     }
 
     /// Fault-injection hook: silently replaces a document in the replica's
@@ -857,13 +791,13 @@ impl ReplicaNode {
     /// would cause. Disk and shipped digests are untouched, so only a
     /// digest cross-check can notice.
     pub fn poison_document(&mut self, uri: &str) -> bool {
-        if self.store.borrow().doc_by_uri(uri).is_none() {
+        if self.db.store.borrow().doc_by_uri(uri).is_none() {
             return false;
         }
         let Ok(doc) = xqib_dom::parse_document("<rotted/>") else {
             return false;
         };
-        self.store.borrow_mut().add_document(doc, Some(uri));
+        self.db.store.borrow_mut().add_document(doc, Some(uri));
         true
     }
 
@@ -879,7 +813,9 @@ impl ReplicaNode {
         if req.query_param("probe").is_some() {
             return Response::ok(format!(
                 "<state term=\"{}\" acked=\"{}\" applied=\"{}\"/>",
-                n.term, n.acked, n.applied
+                n.term,
+                n.db.committed_seq(),
+                n.db.appended_seq()
             ));
         }
         let term = req
@@ -887,16 +823,16 @@ impl ReplicaNode {
             .and_then(|t| t.parse().ok())
             .unwrap_or(0);
         let body = req.body.as_deref().unwrap_or("");
-        let acked = match body.split_at(usize::from(!body.is_empty())) {
-            ("F", hex) => n.accept_frames(term, &from_hex(hex)),
-            ("S", hex) => n.install_snapshot(term, &from_hex(hex)).map(|a| (a, false)),
-            _ => {
-                return Response {
-                    status: 400,
-                    body: "<error>bad replication payload</error>".to_string(),
-                    content_type: "application/xml".to_string(),
-                }
-            }
+        let acked = if let Some(hex) = body.strip_prefix('F') {
+            n.accept_frames(term, &from_hex(hex))
+        } else if let Some(hex) = body.strip_prefix('S') {
+            n.install_snapshot(term, &from_hex(hex)).map(|a| (a, false))
+        } else {
+            return Response {
+                status: 400,
+                body: "<error>bad replication payload</error>".to_string(),
+                content_type: "application/xml".to_string(),
+            };
         };
         match acked {
             Some((seq, false)) => Response::ok(format!("<ack seq=\"{seq}\"/>")),
@@ -1110,7 +1046,7 @@ impl Cluster {
                     disk.clone(),
                     topology.clone(),
                     stats.clone(),
-                    cfg.follower_durability,
+                    cfg.durability,
                 ));
                 if let Some(plan) = &cfg.repl_fault {
                     let mut plan = plan.clone();
@@ -1886,11 +1822,12 @@ impl Cluster {
             let Some(node) = guard.as_ref() else {
                 continue;
             };
-            let lag = committed.unwrap_or(node.applied).saturating_sub(seat.acked);
+            let applied = node.db.appended_seq();
+            let lag = committed.unwrap_or(applied).saturating_sub(seat.acked);
             if !any_lag && lag > self.cfg.max_read_lag {
                 continue;
             }
-            candidates.push((i, lag, node.applied));
+            candidates.push((i, lag, applied));
         }
         if candidates.is_empty() {
             return None;
@@ -1909,7 +1846,7 @@ impl Cluster {
             let sh = &self.shards[shard];
             let seat = &sh.seats[seat_idx];
             let guard = seat.replica.borrow();
-            let body = guard.as_ref()?.serialize(uri)?;
+            let body = guard.as_ref()?.db.serialize(uri)?;
             let want = sh.leader.as_ref().and_then(|l| l.db.digest_of(uri));
             (body, seat.host.clone(), want)
         };
@@ -1944,18 +1881,15 @@ impl Cluster {
     fn quarantine_and_resync(&mut self, s: usize, i: usize, now: u64) {
         let topology = self.topology.clone();
         let stats = self.stats.clone();
-        let follower_cfg = self.cfg.follower_durability;
+        let durability = self.cfg.durability;
         let until = now + self.cfg.quarantine_ms;
         let seat = &mut self.shards[s].seats[i];
-        for f in seat.disk.files() {
-            seat.disk.delete(&f);
-        }
         *seat.replica.borrow_mut() = Some(ReplicaNode::fresh(
             s,
             seat.disk.clone(),
             topology,
             stats,
-            follower_cfg,
+            durability,
         ));
         seat.acked = 0;
         seat.shipped_top = 0;
@@ -1983,29 +1917,12 @@ impl Cluster {
 
     fn scrub_shard(&mut self, s: usize, now: u64) {
         // --- leader side -------------------------------------------------
+        let istats = &mut self.istats;
         let leader_probe = self.shards[s]
             .leader
             .as_ref()
-            .map(|l| (l.db.wal_integrity(), l.db.checkpoint_integrity()));
-        if let Some((wal, ckpts)) = leader_probe {
-            let mut slot_damage = false;
-            for v in &ckpts {
-                match v {
-                    IntegrityError::CheckpointSlotCorrupt { .. } => {
-                        self.istats.scrub_ckpt_corruptions += 1;
-                        slot_damage = true;
-                    }
-                    IntegrityError::AllCheckpointSlotsCorrupt => {
-                        self.istats.scrub_ckpt_lost += 1;
-                        slot_damage = true;
-                    }
-                    _ => {}
-                }
-            }
-            let mid_prefix = matches!(wal, Some(IntegrityError::WalCorruption { .. }));
-            if mid_prefix {
-                self.istats.scrub_wal_corruptions += 1;
-            }
+            .map(|l| istats.count_disk_damage(&l.db));
+        if let Some((mid_prefix, slot_damage)) = leader_probe {
             let has_followers = {
                 let sh = &self.shards[s];
                 sh.seats
@@ -2031,25 +1948,17 @@ impl Cluster {
                 let detect = self.cfg.failover_detect_ms;
                 let topology = self.topology.clone();
                 let stats = self.stats.clone();
-                let follower_cfg = self.cfg.follower_durability;
                 let sh = &mut self.shards[s];
-                if let Some(mut leader) = sh.leader.take() {
-                    let committed = leader.db.committed_seq();
-                    let _ = leader.db.checkpoint();
+                if let Some(leader) = sh.leader.take() {
+                    let mut db = leader.db;
+                    let _ = db.checkpoint();
                     let seat = sh.leader_seat;
-                    let disk = sh.seats[seat].disk.clone();
-                    let (ck, _) = Checkpoint::read_latest_verified(&disk);
                     *sh.seats[seat].replica.borrow_mut() = Some(ReplicaNode {
                         shard: s,
                         term: sh.term,
-                        store: leader.db.store.clone(),
-                        disk,
-                        cfg: follower_cfg,
+                        db,
                         topology,
                         stats,
-                        ckpt_gen: ck.map(|c| c.gen).unwrap_or(0),
-                        applied: committed,
-                        acked: committed,
                     });
                     sh.seats[seat].health = SeatHealth::Healthy;
                 }
@@ -2093,23 +2002,9 @@ impl Cluster {
             // own-disk probe: typed damage self-heals from intact memory
             // (every applied frame was CRC-checked on arrival), so a fresh
             // checkpoint supersedes the rot without losing acked state
-            let (wal_rot, verdicts) = node.disk_damage();
-            if wal_rot {
-                self.istats.scrub_wal_corruptions += 1;
-            }
-            for v in &verdicts {
-                match v {
-                    IntegrityError::CheckpointSlotCorrupt { .. } => {
-                        self.istats.scrub_ckpt_corruptions += 1;
-                    }
-                    IntegrityError::AllCheckpointSlotsCorrupt => {
-                        self.istats.scrub_ckpt_lost += 1;
-                    }
-                    _ => {}
-                }
-            }
-            if wal_rot || !verdicts.is_empty() {
-                node.force_checkpoint();
+            let (wal_rot, slot_damage) = self.istats.count_disk_damage(&node.db);
+            if wal_rot || slot_damage {
+                let _ = node.db.checkpoint_memory();
                 self.istats.repairs_started += 1;
                 if self.shards[s].seats[i].health == SeatHealth::Healthy {
                     self.shards[s].seats[i].health = SeatHealth::Quarantined {
@@ -2121,12 +2016,13 @@ impl Cluster {
             // digest cross-check: only meaningful when the replica claims
             // to hold the leader's whole committed log — a lagged replica
             // is old, not wrong
-            let caught_up = node.applied >= committed;
+            let caught_up = node.db.appended_seq() >= committed;
             let mut diverged = false;
             if caught_up {
                 for (uri, want) in &digests {
                     self.istats.scrub_docs_checked += 1;
-                    if node.digest_for(uri) != Some(*want) {
+                    let got = node.db.serialize(uri).map(|xml| content_digest(uri, &xml));
+                    if got != Some(*want) {
                         self.istats.scrub_digest_mismatches += 1;
                         diverged = true;
                     }
@@ -2324,8 +2220,8 @@ impl Cluster {
             let rep = self.shards[s].seats[win].replica.clone();
             let mut guard = rep.borrow_mut();
             if let Some(node) = guard.as_mut() {
-                let (wal_rot, verdicts) = node.disk_damage();
-                if node.force_checkpoint() && (wal_rot || !verdicts.is_empty()) {
+                let (wal_rot, verdicts) = disk_verdicts(&node.db);
+                if node.db.checkpoint_memory().is_ok() && (wal_rot || !verdicts.is_empty()) {
                     self.istats.promote_heals += 1;
                 }
             }
@@ -2355,7 +2251,7 @@ impl Cluster {
         out: &mut Vec<ClusterCompletion>,
     ) {
         let committed = server.db.committed_seq();
-        let follower_cfg = self.cfg.follower_durability;
+        let durability = self.cfg.durability;
         let topology = self.topology.clone();
         let stats = self.stats.clone();
         let sh = &mut self.shards[s];
@@ -2364,15 +2260,12 @@ impl Cluster {
             // the crashed leader's seat rejoins as an empty follower and
             // resyncs over the wire like any straggler
             let oseat = &mut sh.seats[old];
-            for f in oseat.disk.files() {
-                oseat.disk.delete(&f);
-            }
             *oseat.replica.borrow_mut() = Some(ReplicaNode::fresh(
                 s,
                 oseat.disk.clone(),
                 topology,
                 stats,
-                follower_cfg,
+                durability,
             ));
             oseat.acked = 0;
             oseat.shipped_top = 0;
@@ -2703,6 +2596,8 @@ fn first_doc_literal(xq: &str) -> Option<String> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use xqib_storage::{ShippedFrame, WAL_FILE};
 
     fn doc_url(uri: &str) -> String {
         format!("/doc?uri={uri}")
@@ -2768,7 +2663,7 @@ mod tests {
         // the follower replica holds the marker via shipped WAL frames
         let sh0 = &c.shards[0];
         let follower = sh0.seats[1].replica.borrow();
-        let xml = follower.as_ref().unwrap().serialize("d0.xml").unwrap();
+        let xml = follower.as_ref().unwrap().db.serialize("d0.xml").unwrap();
         assert!(xml.contains("k1"), "follower missing the update: {xml}");
         let stats = c.stats();
         assert!(stats.frames_shipped > 0);
@@ -3032,9 +2927,9 @@ mod tests {
         let (acked, refused) = node.accept_frames(1, &data).unwrap();
         assert_eq!(acked, 0, "foreign document must not be acked");
         assert!(refused, "ownership break must be reported");
-        assert_eq!(node.applied(), 0);
+        assert_eq!(node.db.appended_seq(), 0);
         assert_eq!(stats.borrow().ownership_rejections, 1);
-        assert!(node.serialize(&foreign).is_none());
+        assert!(node.db.serialize(&foreign).is_none());
         // over the wire the refusal is a non-200 reply, so a leader with a
         // broken router backs off instead of hot-looping the same batch
         let node = Rc::new(RefCell::new(Some(node)));
@@ -3048,6 +2943,121 @@ mod tests {
             "ownership refusal must not read as success"
         );
         assert_eq!(stats.borrow().ownership_rejections, 2);
+        // a payload tag that is not one ASCII letter (here a two-byte
+        // character) is a malformed request, not a panic
+        let req = Request::post("http://s0r1.xqib/replicate?shard=0&term=1", "é00");
+        assert_eq!(ReplicaNode::handle(&node, &req).status, 400);
+    }
+
+    /// Ships one batch to `node` as a leader would: a snapshot when the
+    /// batch is `None`, else its frames — recorded in `shipped`, cut to
+    /// `cut % (len + 1)` bytes when given, and sent twice on `resend`.
+    fn ship(
+        leader: &mut XmlDb,
+        node: &mut ReplicaNode,
+        shipped: &mut BTreeMap<u64, Vec<u8>>,
+        batch: Option<Vec<ShippedFrame>>,
+        cut: Option<usize>,
+        resend: bool,
+    ) {
+        let Some(frames) = batch else {
+            let snap = leader.replication_snapshot().unwrap();
+            let seq = node.install_snapshot(1, &snap.encode());
+            assert_eq!(seq, Some(snap.seq), "snapshot refused");
+            return;
+        };
+        let mut bytes: Vec<u8> = Vec::new();
+        for f in &frames {
+            shipped.insert(f.seq, f.bytes.clone());
+            bytes.extend_from_slice(&f.bytes);
+        }
+        if let Some(cut) = cut {
+            bytes.truncate(cut % (bytes.len() + 1));
+        }
+        let (acked, refused) = node.accept_frames(1, &bytes).unwrap();
+        assert!(!refused);
+        assert_eq!(acked, node.db.committed_seq());
+        if resend {
+            // a duplicated shipment changes nothing
+            assert_eq!(node.accept_frames(1, &bytes), Some((acked, false)));
+        }
+    }
+
+    proptest! {
+        /// The follower's accept path against its leader: random loads and
+        /// updates on a leader `XmlDb`, shipped as `committed_frames_after`
+        /// batches from a random resend point at or below the follower's
+        /// position, some cut mid-stream and some sent twice, plus one
+        /// forced snapshot install. Small checkpoint thresholds interleave
+        /// leader log gaps (snapshot resyncs) with follower checkpoints.
+        /// Whenever the follower has caught up it mirrors the leader.
+        #[test]
+        fn follower_accept_path_mirrors_the_leader(
+            ops in prop::collection::vec((0u8..5, 0usize..3, any::<u16>()), 4..40),
+            snapshot_at in 0usize..4,
+        ) {
+            let cfg = DurabilityConfig {
+                group_commit: 1,
+                checkpoint_threshold: 768,
+            };
+            let mut leader = XmlDb::durable(VirtualDisk::new(), cfg);
+            let fdisk = VirtualDisk::new();
+            let stats = Rc::new(RefCell::new(ReplicationStats::default()));
+            let topology = Topology::new(Router::new(1, 3));
+            let mut node = ReplicaNode::fresh(0, fdisk.clone(), topology, stats, cfg);
+            // every frame ever shipped, by sequence: the leader's own log
+            // loses them to its checkpoints
+            let mut shipped: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+            let docs = ["a.xml", "b.xml", "c.xml"];
+            for (step, &(kind, doc, n)) in ops.iter().enumerate() {
+                let uri = docs[doc];
+                let _ = match kind {
+                    0 => leader
+                        .load(uri, &format!("<r n=\"{n}\"><v>{n}</v></r>"))
+                        .map(|_| String::new()),
+                    1 => leader.query(&format!(
+                        "insert node <m k=\"{n}\"/> into doc('{uri}')/r"
+                    )),
+                    2 => leader.query(&format!(
+                        "replace value of node doc('{uri}')//v with 'x{n}'"
+                    )),
+                    3 => leader.query(&format!("delete node (doc('{uri}')//m)[1]")),
+                    _ => leader.query(&format!(
+                        "for $m in doc('{uri}')//m return insert node <c/> into $m"
+                    )),
+                };
+                // ship once from a resend point up to three frames back
+                let applied = node.db.appended_seq();
+                let after = applied.saturating_sub(u64::from(n % 4));
+                let batch = match step == snapshot_at {
+                    true => None,
+                    false => leader.committed_frames_after(after),
+                };
+                let cut = (n % 3 == 0).then_some(usize::from(n));
+                ship(&mut leader, &mut node, &mut shipped, batch, cut, n % 5 == 0);
+                if n % 2 == 1 {
+                    continue; // stay behind: the leader may checkpoint past us
+                }
+                while node.db.appended_seq() < leader.committed_seq() {
+                    let batch = leader.committed_frames_after(node.db.appended_seq());
+                    ship(&mut leader, &mut node, &mut shipped, batch, None, false);
+                }
+                // caught up: memory, digests, log and recovery all agree
+                prop_assert_eq!(node.db.appended_seq(), leader.committed_seq());
+                prop_assert_eq!(node.db.committed_seq(), node.db.appended_seq());
+                prop_assert_eq!(node.db.dump(), leader.dump(), "step {}", step);
+                prop_assert_eq!(node.db.recorded_digests(), leader.recorded_digests());
+                let ckpt_seq = Checkpoint::read_latest(&fdisk).map_or(0, |c| c.seq);
+                let mut want = Vec::new();
+                for seq in ckpt_seq + 1..=node.db.appended_seq() {
+                    want.extend_from_slice(&shipped[&seq]);
+                }
+                prop_assert_eq!(fdisk.read(WAL_FILE).unwrap_or_default(), want);
+                let recovered = XmlDb::recover(fdisk.clone_image(), cfg).unwrap();
+                prop_assert_eq!(recovered.dump(), node.db.dump());
+                prop_assert_eq!(recovered.committed_seq(), node.db.committed_seq());
+            }
+        }
     }
 
     #[test]
@@ -3133,7 +3143,7 @@ mod tests {
                 continue;
             }
             let guard = c.shards[0].seats[slot].replica.borrow();
-            let xml = guard.as_ref().unwrap().serialize("d3.xml").unwrap();
+            let xml = guard.as_ref().unwrap().db.serialize("d3.xml").unwrap();
             assert_eq!(xml, leader_xml, "follower {slot} diverged");
         }
         // shipped counts only frames whose bytes survived the in-flight
@@ -3204,7 +3214,7 @@ mod tests {
             "resync must ship a snapshot"
         );
         let guard = c.shards[0].seats[1].replica.borrow();
-        let xml = guard.as_ref().unwrap().serialize("d4.xml").unwrap();
+        let xml = guard.as_ref().unwrap().db.serialize("d4.xml").unwrap();
         for i in 0..12 {
             assert!(
                 xml.contains(&format!("s{i}")),
@@ -3307,7 +3317,7 @@ mod tests {
         rot_first_frame(&disk);
         {
             let rep = c.shards[0].seats[1].replica.borrow();
-            let (rot, _) = rep.as_ref().unwrap().disk_damage();
+            let (rot, _) = disk_verdicts(&rep.as_ref().unwrap().db);
             assert!(rot, "the flip must read as mid-prefix WAL damage");
         }
         // the next scrub pass detects the rot, re-checkpoints the replica
@@ -3327,7 +3337,7 @@ mod tests {
         ));
         {
             let rep = c.shards[0].seats[1].replica.borrow();
-            let (rot, verdicts) = rep.as_ref().unwrap().disk_damage();
+            let (rot, verdicts) = disk_verdicts(&rep.as_ref().unwrap().db);
             assert!(
                 !rot && verdicts.is_empty(),
                 "the repair checkpoint must supersede the rot"
@@ -3376,7 +3386,7 @@ mod tests {
         assert_eq!(c.shards[0].seats[1].health, SeatHealth::Healthy);
         assert!(c.integrity_stats().repairs_verified >= 1);
         let rep = c.shards[0].seats[1].replica.borrow();
-        let xml = rep.as_ref().unwrap().serialize("d0.xml").unwrap();
+        let xml = rep.as_ref().unwrap().db.serialize("d0.xml").unwrap();
         assert!(!xml.contains("rotted"), "poison survived the resync: {xml}");
         for m in &acked {
             assert!(xml.contains(m.as_str()), "resync lost acked {m}: {xml}");

@@ -21,6 +21,13 @@
 //! of the committed WAL suffix, stopping at the first torn or corrupt
 //! frame — is idempotent even when a crash lands between the checkpoint
 //! write and the log truncation.
+//!
+//! A replication follower (`cluster::ReplicaNode`) is the same durable
+//! database, fed by a leader's shipped WAL frames instead of queries: it
+//! applies them through the redo step recovery uses, appends the exact
+//! frame bytes to its own log, installs shipped snapshots through the
+//! checkpoint loader recovery uses, and so keeps the same recorded digests
+//! as its leader.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -43,44 +50,24 @@ use xqib_xquery::wire;
 /// keeping the O(n) LRU scan trivial.
 const PLAN_CACHE_CAPACITY: usize = 64;
 
-/// Applies one redo record to a store, returning `false` when the record
-/// cannot be applied (unparseable document, undecodable or inapplicable
-/// PUL). The replay-stopping condition shared by [`XmlDb::recover`] and
-/// the cluster replication receiver — both stop at the first record that
-/// refuses to apply, keeping state at a frame boundary.
-pub fn apply_wal_record(store: &SharedStore, record: &WalRecord) -> bool {
-    match record {
-        WalRecord::Load { uri, xml } => match xqib_dom::parse_document(xml) {
-            Ok(doc) => {
-                let mut s = store.borrow_mut();
-                match s.doc_by_uri(uri) {
-                    Some(id) => s.replace_document(id, doc),
-                    None => {
-                        s.add_document(doc, Some(uri));
-                    }
-                }
-                true
-            }
-            Err(_) => false,
-        },
-        WalRecord::Pul(bytes) => {
-            let mut s = store.borrow_mut();
-            match wire::decode_pul(&mut s, bytes) {
-                Ok(pul) => pul.apply(&mut s).is_ok(),
-                Err(_) => false,
-            }
-        }
-        WalRecord::Digest { uri, digest } => {
-            let s = store.borrow();
-            match s.doc_by_uri(uri) {
-                Some(id) => {
-                    let xml = xqib_dom::serialize::serialize_document(s.doc(id));
-                    content_digest(uri, &xml) == *digest
-                }
-                None => false,
-            }
+/// Binds every document of a checkpoint into a fresh store, alongside
+/// the digests the checkpoint records. The one loader behind
+/// [`XmlDb::recover`] and a follower's snapshot install.
+fn checkpoint_store(ckpt: &Checkpoint) -> XdmResult<(SharedStore, BTreeMap<String, u64>)> {
+    let store = shared_store();
+    {
+        let mut s = store.borrow_mut();
+        for (uri, xml) in &ckpt.docs {
+            let doc = xqib_dom::parse_document(xml).map_err(|e| {
+                xqib_xdm::XdmError::new(
+                    wire::WIRE_ERR,
+                    format!("checkpoint document {uri} unreadable: {e}"),
+                )
+            })?;
+            s.add_document(doc, Some(uri));
         }
     }
+    Ok((store, ckpt.digests().into_iter().collect()))
 }
 
 /// Tuning knobs for durable mode.
@@ -195,11 +182,6 @@ impl XmlDb {
         }
         let wal = Wal::create(disk.clone(), WAL_FILE);
         XmlDb {
-            store: shared_store(),
-            evals: 0,
-            modules: ModuleRegistry::new(),
-            plans: PlanCache::new(PLAN_CACHE_CAPACITY),
-            plan_mode: true,
             durable: Some(Durable {
                 disk,
                 wal,
@@ -210,8 +192,7 @@ impl XmlDb {
                 pending_ops: 0,
                 stats: DurabilityStats::default(),
             }),
-            digests: BTreeMap::new(),
-            changed: BTreeMap::new(),
+            ..XmlDb::new()
         }
     }
 
@@ -234,22 +215,9 @@ impl XmlDb {
         }
         let (ckpt_gen, ckpt_seq) = ckpt.as_ref().map_or((0, 0), |c| (c.gen, c.seq));
 
-        let store = shared_store();
-        let mut digests = BTreeMap::new();
+        let mut db = XmlDb::new();
         if let Some(ckpt) = &ckpt {
-            let mut s = store.borrow_mut();
-            for (uri, xml) in &ckpt.docs {
-                let doc = xqib_dom::parse_document(xml).map_err(|e| {
-                    xqib_xdm::XdmError::new(
-                        wire::WIRE_ERR,
-                        format!("checkpoint document {uri} unreadable: {e}"),
-                    )
-                })?;
-                s.add_document(doc, Some(uri));
-            }
-            for (uri, digest) in ckpt.digests() {
-                digests.insert(uri, digest);
-            }
+            (db.store, db.digests) = checkpoint_store(ckpt)?;
         }
 
         let mut replay = Wal::scan(&disk, WAL_FILE);
@@ -264,7 +232,7 @@ impl XmlDb {
                 good += 1; // absorbed by the checkpoint; keep the frame
                 continue;
             }
-            if !apply_wal_record(&store, record) {
+            if !db.redo(record) {
                 if let WalRecord::Digest { .. } = record {
                     // the replayed state no longer hashes to what was
                     // acknowledged: silent damage, not a torn append
@@ -272,9 +240,6 @@ impl XmlDb {
                 }
                 torn = true;
                 break;
-            }
-            if let WalRecord::Digest { uri, digest } = record {
-                digests.insert(uri.clone(), *digest);
             }
             good += 1;
             applied_seq = *seq;
@@ -288,31 +253,120 @@ impl XmlDb {
         if torn {
             stats.torn_tails_dropped = 1;
         }
-        let changed = store
+        db.changed = db
+            .store
             .borrow()
             .uri_bindings()
             .into_iter()
             .map(|(uri, _)| (uri, None))
             .collect();
-        Ok(XmlDb {
-            store,
-            evals: 0,
-            modules: ModuleRegistry::new(),
-            plans: PlanCache::new(PLAN_CACHE_CAPACITY),
-            plan_mode: true,
-            durable: Some(Durable {
-                disk,
-                wal,
-                cfg,
-                ckpt_gen,
-                last_committed: applied_seq,
-                last_appended: applied_seq,
-                pending_ops: 0,
-                stats,
-            }),
-            digests,
-            changed,
-        })
+        db.durable = Some(Durable {
+            disk,
+            wal,
+            cfg,
+            ckpt_gen,
+            last_committed: applied_seq,
+            last_appended: applied_seq,
+            pending_ops: 0,
+            stats,
+        });
+        Ok(db)
+    }
+
+    /// One redo step, shared by [`Self::recover`]'s replay and a
+    /// follower's accept loop: applies `record` to the store and records
+    /// a digest frame's value once the store hashes to it. `false` when
+    /// the record cannot be applied (unparseable document, undecodable or
+    /// inapplicable PUL, digest mismatch) — both callers stop there,
+    /// keeping state at a frame boundary.
+    fn redo(&mut self, record: &WalRecord) -> bool {
+        let mut s = self.store.borrow_mut();
+        match record {
+            WalRecord::Load { uri, xml } => match xqib_dom::parse_document(xml) {
+                Ok(doc) => {
+                    match s.doc_by_uri(uri) {
+                        Some(id) => s.replace_document(id, doc),
+                        None => {
+                            s.add_document(doc, Some(uri));
+                        }
+                    }
+                    true
+                }
+                Err(_) => false,
+            },
+            WalRecord::Pul(bytes) => match wire::decode_pul(&mut s, bytes) {
+                Ok(pul) => pul.apply(&mut s).is_ok(),
+                Err(_) => false,
+            },
+            WalRecord::Digest { uri, digest } => {
+                let sealed = s.doc_by_uri(uri).is_some_and(|id| {
+                    let xml = xqib_dom::serialize::serialize_document(s.doc(id));
+                    content_digest(uri, &xml) == *digest
+                });
+                if sealed {
+                    self.digests.insert(uri.clone(), *digest);
+                }
+                sealed
+            }
+        }
+    }
+
+    /// A follower's accept step: applies one shipped frame through the
+    /// redo step, then appends its exact bytes to this database's own WAL,
+    /// so the log stays a byte-prefix of the sender's. `false` (nothing
+    /// appended) when the record cannot be applied.
+    pub(crate) fn accept_frame(&mut self, seq: u64, record: &WalRecord, frame: &[u8]) -> bool {
+        if !self.redo(record) {
+            return false;
+        }
+        if let Some(d) = &mut self.durable {
+            d.wal.append_frame(seq, frame);
+            d.stats.wal_appends += 1;
+            d.last_appended = seq;
+        }
+        true
+    }
+
+    /// A follower's commit of one accepted shipment: one WAL fsync, which
+    /// is what its ack promises, then a checkpoint of memory if the log
+    /// outgrew its threshold — even when that fsync failed, since the
+    /// checkpoint makes the applied state durable by itself.
+    pub(crate) fn commit_shipment(&mut self) {
+        let _ = self.commit();
+        if self.log_over_threshold() {
+            let _ = self.checkpoint_memory();
+        }
+    }
+
+    /// Installs a shipped snapshot as this database's newest checkpoint
+    /// and its whole state: the snapshot's documents and digests replace
+    /// the store, the WAL is truncated, and both the appended and the
+    /// committed sequence move to the snapshot's. `false` (nothing in
+    /// memory changed) on an unreadable document, a failed slot write or
+    /// an ephemeral database.
+    pub(crate) fn install_snapshot(&mut self, snap: Checkpoint) -> bool {
+        let Ok((store, digests)) = checkpoint_store(&snap) else {
+            return false;
+        };
+        let Some(d) = &mut self.durable else {
+            return false;
+        };
+        let local = Checkpoint {
+            gen: d.ckpt_gen + 1,
+            ..snap
+        };
+        if local.write(&d.disk).is_err() {
+            return false;
+        }
+        d.ckpt_gen += 1;
+        d.stats.checkpoints += 1;
+        d.wal.truncate();
+        d.last_committed = local.seq;
+        d.last_appended = local.seq;
+        d.pending_ops = 0;
+        self.store = store;
+        self.digests = digests;
+        true
     }
 
     /// Loads a document under a URI. If the URI is already bound the
@@ -508,25 +562,31 @@ impl XmlDb {
         Ok(())
     }
 
-    /// Hard checkpoint: commits, snapshots every document into the
-    /// alternate slot, then truncates the WAL. Skipped (with an error) if
-    /// the commit or the snapshot fsync fails — the previous checkpoint
-    /// and the log stay authoritative.
+    /// Hard checkpoint: commits, then [`Self::checkpoint_memory`]. Skipped
+    /// (with an error) if the commit or the snapshot fsync fails — the
+    /// previous checkpoint and the log stay authoritative.
     pub fn checkpoint(&mut self) -> Result<(), DiskError> {
         self.commit()?;
-        let docs = self.dump();
-        let Some(d) = &mut self.durable else {
+        self.checkpoint_memory()
+    }
+
+    /// Snapshots every document in memory into the alternate checkpoint
+    /// slot, then truncates the WAL. The snapshot covers every appended
+    /// record, so once it is written the whole appended log counts as
+    /// committed — which is also how a replica repairs a log whose fsync
+    /// failed or whose bytes rotted: memory, whose every frame was checked
+    /// on arrival, supersedes the damaged media wholesale.
+    pub(crate) fn checkpoint_memory(&mut self) -> Result<(), DiskError> {
+        let (Some(mut ckpt), Some(d)) = (self.memory_snapshot(), &mut self.durable) else {
             return Ok(());
         };
-        let ckpt = Checkpoint {
-            gen: d.ckpt_gen + 1,
-            seq: d.last_committed,
-            docs,
-        };
+        ckpt.gen += 1;
         ckpt.write(&d.disk)?;
         d.ckpt_gen += 1;
         d.stats.checkpoints += 1;
         d.wal.truncate();
+        d.last_committed = d.last_appended;
+        d.pending_ops = 0;
         Ok(())
     }
 
@@ -675,16 +735,19 @@ impl XmlDb {
     /// (retry later — shipping an inconsistent snapshot would double-apply
     /// frames at the follower).
     pub fn replication_snapshot(&mut self) -> Option<Checkpoint> {
-        self.durable.as_ref()?;
-        if self.commit().is_err() {
-            return None;
-        }
-        let docs = self.dump();
+        self.commit().ok()?;
+        self.memory_snapshot()
+    }
+
+    /// Every document in memory as a checkpoint covering the whole
+    /// appended log, stamped with the newest generation on disk. `None`
+    /// for ephemeral databases.
+    fn memory_snapshot(&self) -> Option<Checkpoint> {
         let d = self.durable.as_ref()?;
         Some(Checkpoint {
             gen: d.ckpt_gen,
-            seq: d.last_committed,
-            docs,
+            seq: d.last_appended,
+            docs: self.dump(),
         })
     }
 
@@ -779,10 +842,16 @@ impl XmlDb {
         if d.pending_ops >= d.cfg.group_commit {
             let _ = self.commit();
         }
-        let Some(d) = &self.durable else { return };
-        if d.cfg.checkpoint_threshold > 0 && d.wal.size_bytes() > d.cfg.checkpoint_threshold {
+        if self.log_over_threshold() {
             let _ = self.checkpoint();
         }
+    }
+
+    /// Whether the WAL outgrew the automatic-checkpoint threshold.
+    fn log_over_threshold(&self) -> bool {
+        self.durable.as_ref().is_some_and(|d| {
+            d.cfg.checkpoint_threshold > 0 && d.wal.size_bytes() > d.cfg.checkpoint_threshold
+        })
     }
 }
 

@@ -11,7 +11,7 @@
 //!    produces a misroute;
 //! 3. **Determinism** — identical seeds give bit-identical reports.
 //!
-//! Deterministic CI matrix hook: `XQIB_CLUSTER_SEED` is mixed into every
+//! Deterministic CI matrix hook: `XQIB_SEED` is mixed into every
 //! generated seed, so each matrix entry explores a different region of the
 //! topology × partition × crash space while any failure stays
 //! reproducible.
@@ -23,16 +23,7 @@ use xqib_browser::FaultPlan;
 use xqib_storage::StorageFaultPlan;
 
 fn env_seed() -> u64 {
-    std::env::var("XQIB_CLUSTER_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Scrub-chaos matrix axis: like `XQIB_CLUSTER_SEED`, but reserved for the
-/// latent-decay scenarios so the two matrices explore independent regions.
-fn scrub_env_seed() -> u64 {
-    std::env::var("XQIB_SCRUB_SEED")
+    std::env::var("XQIB_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0)
@@ -90,7 +81,7 @@ fn scenario(seed: u64) -> ClusterSimConfig {
 /// The full integrity composition: the base chaos scenario (net faults,
 /// partitions, leader crashes) plus silent bit rot on every seat disk.
 fn scrub_scenario(seed: u64) -> ClusterSimConfig {
-    let seed = mix(seed, scrub_env_seed());
+    let seed = mix(seed, env_seed());
     let mut cfg = scenario(seed);
     // silent rot on a replication-factor-1 shard is unrecoverable by
     // construction (no surviving copy to repair from once the leader
@@ -269,7 +260,6 @@ fn double_failover_after_a_snapshot_resync_past_the_truncation_horizon() {
     // aggressive checkpointing keeps the durable logs short, so the healed
     // straggler finds a gap and must take the snapshot path
     cfg.cluster.durability.checkpoint_threshold = 96;
-    cfg.cluster.follower_durability.checkpoint_threshold = 96;
     cfg.partitions = vec![(0, 2, 200, 1_200)];
     cfg.leader_crashes = vec![(1_600, 0)];
     cfg.update_rps = 60;

@@ -9,7 +9,7 @@
 //! 3. recovery is idempotent — recovering the same image again (even after
 //!    another crash) yields the same sequence and the same serialization.
 //!
-//! Deterministic CI matrix hook: `XQIB_STORAGE_SEED` is mixed into every
+//! Deterministic CI matrix hook: `XQIB_SEED` is mixed into every
 //! generated seed, so each matrix entry explores a different region of the
 //! op-sequence × crash-point × fault space while any single failure stays
 //! reproducible.
@@ -19,7 +19,7 @@ use xqib_appserver::xmldb::{DurabilityConfig, XmlDb};
 use xqib_storage::{StorageFaultPlan, VirtualDisk};
 
 fn env_seed() -> u64 {
-    std::env::var("XQIB_STORAGE_SEED")
+    std::env::var("XQIB_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0)

@@ -18,11 +18,11 @@ use proptest::prelude::*;
 use xqib_appserver::cluster::Submitted;
 use xqib_appserver::fleet::{run_fleet, FleetConfig, Scenario};
 
-/// Deterministic CI matrix hook: `XQIB_FLEET_SEED` is mixed into every
+/// Deterministic CI matrix hook: `XQIB_SEED` is mixed into every
 /// fleet seed, so the same suite explores different chaos schedules per
-/// job (same convention as `XQIB_FAULT_SEED` in crates/core).
+/// job.
 fn env_seed() -> u64 {
-    std::env::var("XQIB_FLEET_SEED")
+    std::env::var("XQIB_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0)

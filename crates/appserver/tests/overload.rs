@@ -17,7 +17,7 @@
 //! 5. **determinism** — identical seeds reproduce identical reports,
 //!    metrics included.
 //!
-//! CI matrix hook: `XQIB_SIM_SEED` is mixed into every generated seed, so
+//! CI matrix hook: `XQIB_SEED` is mixed into every generated seed, so
 //! each matrix entry explores a different region of the schedule × fault
 //! space while any single failure stays reproducible.
 
@@ -29,7 +29,7 @@ use xqib_browser::net::FaultPlan;
 use xqib_storage::StorageFaultPlan;
 
 fn env_seed() -> u64 {
-    std::env::var("XQIB_SIM_SEED")
+    std::env::var("XQIB_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0)

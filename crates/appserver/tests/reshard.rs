@@ -13,7 +13,7 @@
 //! 4. **Ring quality** — the consistent-hash ring balances load within a
 //!    bounded factor and adding one shard moves only ~1/N of the keys.
 //!
-//! Deterministic CI matrix hook: `XQIB_RESHARD_SEED` is mixed into every
+//! Deterministic CI matrix hook: `XQIB_SEED` is mixed into every
 //! generated seed so each matrix entry explores a different region of the
 //! topology × fault space while any failure stays reproducible.
 
@@ -23,7 +23,7 @@ use xqib_appserver::{Router, TopologyChange};
 use xqib_browser::FaultPlan;
 
 fn env_seed() -> u64 {
-    std::env::var("XQIB_RESHARD_SEED")
+    std::env::var("XQIB_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0)

@@ -8,10 +8,10 @@ use xqib_browser::net::{Fault, FaultPlan, Response};
 use xqib_browser::{BreakerState, RecoveryConfig, RecoveryStats, RetryPolicy};
 use xqib_core::plugin::{Plugin, PluginConfig};
 
-/// Deterministic CI matrix hook: `XQIB_FAULT_SEED` is mixed into every
+/// Deterministic CI matrix hook: `XQIB_SEED` is mixed into every
 /// fault-plan seed, so the same suite explores different schedules per job.
 fn env_seed() -> u64 {
-    std::env::var("XQIB_FAULT_SEED")
+    std::env::var("XQIB_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0)

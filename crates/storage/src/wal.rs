@@ -248,6 +248,15 @@ impl Wal {
         seq
     }
 
+    /// Appends a frame received from another log verbatim (a replica's
+    /// shipped [`ShippedFrame::bytes`]), continuing the sequence after
+    /// its `seq`. Not durable until [`sync`](Self::sync) succeeds.
+    pub fn append_frame(&mut self, seq: u64, frame: &[u8]) {
+        self.disk.append(&self.file, frame);
+        self.unsynced += 1;
+        self.next_seq = seq + 1;
+    }
+
     /// Group commit: fsync the log. On success every appended frame is
     /// durable; on failure the caller must keep the batch unacknowledged.
     pub fn sync(&mut self) -> Result<(), DiskError> {

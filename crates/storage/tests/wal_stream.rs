@@ -11,7 +11,7 @@
 //! The reference model walks the generated unit list (each unit = one
 //! frame image, possibly mutated) and predicts the accepted records,
 //! `valid_bytes`, and the torn-tail flag; the scanner must agree
-//! byte-for-byte. `XQIB_CLUSTER_SEED` is mixed into every generated case
+//! byte-for-byte. `XQIB_SEED` is mixed into every generated case
 //! so the CI matrix explores disjoint regions reproducibly.
 
 use proptest::prelude::*;
@@ -19,7 +19,7 @@ use xqib_storage::wal::ShippedFrame;
 use xqib_storage::{VirtualDisk, Wal, WalBreak, WalRecord, WAL_FILE};
 
 fn env_seed() -> u64 {
-    std::env::var("XQIB_CLUSTER_SEED")
+    std::env::var("XQIB_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0)

@@ -8,7 +8,7 @@
 //! interpreter's unlimited-fuel answer, and whenever it fails it must fail
 //! with the fuel code.
 //!
-//! Deterministic CI matrix hook: `XQIB_PLAN_SEED` is mixed into every
+//! Deterministic CI matrix hook: `XQIB_SEED` is mixed into every
 //! generated seed, so each matrix entry explores a different region of the
 //! query space while any single failure stays reproducible.
 
@@ -21,7 +21,7 @@ use xqib_xquery::runtime::{self, ModuleRegistry};
 use xqib_xquery::DynamicContext;
 
 fn env_seed() -> u64 {
-    std::env::var("XQIB_PLAN_SEED")
+    std::env::var("XQIB_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0)

@@ -3,7 +3,7 @@
 //! as it did before the failed apply (all-or-nothing), and a rolled-back
 //! store must stay fully usable.
 //!
-//! Deterministic CI matrix hook: `XQIB_CRASH_SEED` is mixed into every
+//! Deterministic CI matrix hook: `XQIB_SEED` is mixed into every
 //! generated seed, so each matrix entry explores a different region of the
 //! sequence × crash-point space while any single failure stays reproducible.
 
@@ -13,7 +13,7 @@ use xqib_dom::{DocId, NodeRef, QName, Store};
 use xqib_xquery::pul::{CrashPoint, Pul, UpdatePrimitive};
 
 fn env_seed() -> u64 {
-    std::env::var("XQIB_CRASH_SEED")
+    std::env::var("XQIB_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0)
