@@ -32,6 +32,7 @@ use xqib_xdm::{XdmError, XdmResult};
 
 use crate::cluster::{
     Cluster, ClusterConfig, IntegrityStats, ReplicationStats, Submitted, TopologyChange,
+    FAILOVER_DETECT_MS, LINK_LATENCY_MS,
 };
 use crate::corpus::{article_ids, generate_corpus, CorpusSpec};
 
@@ -694,8 +695,8 @@ pub fn run_fleet(cfg: &FleetConfig) -> XdmResult<(FleetReport, Cluster)> {
     for &(at, change) in &cfg.chaos.reshards {
         cluster.schedule_topology(at, change);
     }
-    let step_ms = cfg.cluster.link_latency_ms.max(1);
-    let pending_cap_ms = cfg.cluster.ack_timeout_ms + cfg.cluster.failover_detect_ms + 2_000;
+    let step_ms = LINK_LATENCY_MS;
+    let pending_cap_ms = cfg.cluster.ack_timeout_ms + FAILOVER_DETECT_MS + 2_000;
     let cluster = Rc::new(RefCell::new(cluster));
     let cluster_now = Rc::new(Cell::new(0u64));
     let reroutes = Rc::new(Cell::new(0u64));

@@ -2,7 +2,7 @@
 //! [`AppServer`] with a bounded, class-prioritised admission queue,
 //! per-request deadlines propagated into the evaluator as fuel budgets,
 //! CoDel-style queue-delay shedding, and graceful degradation of
-//! render-class requests to cached whole-document snapshots.
+//! render-class requests to the whole stored document.
 //!
 //! Everything runs in *virtual time*: the governor models a single-threaded
 //! server whose service time per request is derived from the engine fuel
@@ -32,14 +32,15 @@
 //!    return, so a deadline-killed `/update` has applied — and journaled —
 //!    nothing.
 //! 4. **Degradation**: when a render-class request (`/page`, `/index`,
-//!    `/doc`) blows its deadline, the governor answers with the cached
-//!    whole-document snapshot (`X-XQIB-Degraded`) instead of failing —
-//!    the paper's own "serve whole documents rather than individual
-//!    queries" caching argument (§6.1).
+//!    `/doc`) blows its deadline, the governor answers with the whole
+//!    stored document (`X-XQIB-Degraded`, see
+//!    [`AppServer::degraded_snapshot`]) instead of failing — the paper's
+//!    own "serve whole documents rather than individual queries" caching
+//!    argument (§6.1).
 
 use std::collections::VecDeque;
 
-use crate::metrics::OuterStats;
+use crate::metrics::{nearest_rank, OuterStats};
 use crate::server::{split_url, AppServer, ServerResponse};
 
 /// Request priority classes, in dequeue order: interactive page renders
@@ -101,8 +102,8 @@ pub struct GovernorConfig {
     pub codel_interval_ms: u64,
     /// The `Retry-After` value (seconds) attached to shed responses.
     pub retry_after_s: u64,
-    /// Degrade render-class deadline misses to cached snapshots instead of
-    /// failing them with 504.
+    /// Degrade render-class deadline misses to the whole stored document
+    /// instead of failing them with 504.
     pub degrade_renders: bool,
 }
 
@@ -157,7 +158,8 @@ pub struct OverloadStats {
     pub shed_queue_full: u64,
     /// Requests shed at dequeue (CoDel standing-queue-delay).
     pub shed_queue_delay: u64,
-    /// Render-class deadline misses answered from the snapshot cache.
+    /// Render-class deadline misses answered with the whole stored
+    /// document.
     pub degraded: u64,
     /// Requests whose deadline expired (in queue or in the evaluator).
     pub deadline_exceeded: u64,
@@ -174,14 +176,7 @@ impl OverloadStats {
     /// The `pct`-th percentile queue delay (nearest-rank over all dequeued
     /// requests; 0 when nothing was dequeued).
     pub fn queue_delay_percentile(&self, pct: u64) -> u64 {
-        if self.queue_delays.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.queue_delays.clone();
-        sorted.sort_unstable();
-        // nearest-rank (ceiling) convention: p99 of 5 samples is the max
-        let rank = (sorted.len() * pct.min(100) as usize).div_ceil(100);
-        sorted[rank.max(1) - 1]
+        nearest_rank(self.queue_delays.iter().copied(), pct)
     }
 
     /// The reported counters under their `/metrics` element names, in
@@ -218,7 +213,7 @@ pub enum Outcome {
     ShedQueueFull,
     /// Shed at dequeue: standing queue delay exceeded the CoDel target.
     ShedQueueDelay,
-    /// Deadline miss degraded to a cached whole-document snapshot.
+    /// Deadline miss degraded to the whole stored document.
     Degraded,
     /// Deadline miss failed with 504 (`XQIB0014`).
     DeadlineExceeded,
@@ -378,16 +373,10 @@ fn overload_group(stats: &OverloadStats) -> OuterStats<'_> {
     }
 }
 
-/// A last-resort responder the degrade path consults before giving up
-/// with a 504 — e.g. a cluster plugging in bounded-staleness follower
-/// reads: a lagging replica beats no answer at all.
-pub type DegradeFallback = Box<dyn FnMut(&str) -> Option<ServerResponse>>;
-
 /// An [`AppServer`] behind a [`RequestGovernor`].
 pub struct GovernedServer {
     pub server: AppServer,
     pub gov: RequestGovernor,
-    fallback: Option<DegradeFallback>,
 }
 
 impl GovernedServer {
@@ -395,15 +384,7 @@ impl GovernedServer {
         GovernedServer {
             server,
             gov: RequestGovernor::new(cfg),
-            fallback: None,
         }
-    }
-
-    /// Installs a degrade fallback, consulted for render-class requests
-    /// after the snapshot cache misses and before the 504: the preference
-    /// order becomes fresh > snapshot > fallback > 504.
-    pub fn set_degrade_fallback(&mut self, fallback: DegradeFallback) {
-        self.fallback = Some(fallback);
     }
 
     /// Offers a request arriving at virtual time `now`. Either admits it
@@ -525,19 +506,13 @@ impl GovernedServer {
     }
 
     /// The deadline-miss fallback: render-class requests degrade to the
-    /// cached snapshot when enabled, everything else fails with 504. The
-    /// fixed cost of either path is 1 virtual ms.
+    /// whole stored document when enabled and it is servable; everything
+    /// else fails with 504. The fixed cost of either path is 1 virtual ms.
     fn degrade_or_504(&mut self, p: &Pending) -> (ServerResponse, Outcome, u64) {
         if p.class == Class::Render && self.gov.cfg.degrade_renders {
             if let Some(resp) = self.server.degraded_snapshot(&p.url) {
                 self.gov.stats.degraded += 1;
                 return (resp, Outcome::Degraded, 1);
-            }
-            if let Some(fallback) = &mut self.fallback {
-                if let Some(resp) = fallback(&p.url) {
-                    self.gov.stats.degraded += 1;
-                    return (resp, Outcome::Degraded, 1);
-                }
             }
         }
         self.gov.stats.deadline_exceeded += 1;
@@ -649,36 +624,6 @@ mod tests {
         // each miss lands in exactly one bucket: degraded or failed
         assert_eq!(g.gov.stats.deadline_exceeded, 1);
         assert_eq!(g.gov.stats.degraded, 1);
-    }
-
-    #[test]
-    fn degrade_fallback_beats_the_504_when_the_snapshot_misses() {
-        // a /doc render for a URI this server never held: the snapshot
-        // cache misses, so without a fallback the deadline miss is a 504 —
-        // with one (a cluster's follower read), it degrades instead
-        let mut g = governed(GovernorConfig::default());
-        g.gov.free_at = 1000;
-        g.submit("/doc?uri=replica-only.xml", 0);
-        let done = g.drain();
-        assert_eq!(done[0].outcome, Outcome::DeadlineExceeded);
-        assert_eq!(done[0].response.status, 504);
-
-        let mut g = governed(GovernorConfig::default());
-        g.set_degrade_fallback(Box::new(|url: &str| {
-            url.contains("replica-only.xml").then(|| {
-                ServerResponse::new(200, "<from-follower/>")
-                    .with_header("X-XQIB-Replica", "s0r1")
-                    .with_header("X-XQIB-Replica-Lag", "3")
-            })
-        }));
-        g.gov.free_at = 1000;
-        g.submit("/doc?uri=replica-only.xml", 0);
-        let done = g.drain();
-        assert_eq!(done[0].outcome, Outcome::Degraded);
-        assert_eq!(done[0].response.status, 200);
-        assert_eq!(done[0].response.header("X-XQIB-Replica-Lag"), Some("3"));
-        assert_eq!(g.gov.stats.degraded, 1);
-        assert_eq!(g.gov.stats.deadline_exceeded, 0);
     }
 
     #[test]

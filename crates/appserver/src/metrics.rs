@@ -86,3 +86,16 @@ pub(crate) fn render(server: Option<&AppServer>, outer: &OuterStats<'_>) -> Stri
     out.push_str("</metrics>");
     out
 }
+
+/// The `pct`-th percentile of `samples` by the nearest-rank (ceiling)
+/// convention — p99 of 5 samples is the max; 0 when there are none. The
+/// one percentile behind every latency and queue-delay figure reported.
+pub(crate) fn nearest_rank(samples: impl Iterator<Item = u64>, pct: u64) -> u64 {
+    let mut sorted: Vec<u64> = samples.collect();
+    if sorted.is_empty() {
+        return 0;
+    }
+    sorted.sort_unstable();
+    let rank = (sorted.len() * pct.min(100) as usize).div_ceil(100);
+    sorted[rank.max(1) - 1]
+}

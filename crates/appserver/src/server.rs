@@ -4,15 +4,11 @@
 //! Requests can carry a *deadline budget* (engine fuel units, see
 //! [`AppServer::handle_budgeted`]): the evaluator is preempted with
 //! `XQIB0014` once the budget is spent, which the HTTP layer maps to 504.
-//! The server also keeps whole-document snapshots of every bound document
-//! so the request governor can degrade render-class requests to a cached
-//! snapshot instead of failing them — the paper's own "serve whole
+//! The request governor can then degrade a render-class request to the
+//! whole stored document instead of failing it
+//! ([`AppServer::degraded_snapshot`]) — the paper's own "serve whole
 //! documents rather than individual queries to documents" caching argument
-//! (§6.1). A refresh re-serialises only the documents changed since the
-//! previous one ([`XmlDb::take_changed`]), so a write costs the documents
-//! it touches, not the whole store.
-
-use std::collections::HashMap;
+//! (§6.1).
 
 use xqib_browser::net::percent_decode;
 use xqib_storage::VirtualDisk;
@@ -74,14 +70,6 @@ impl ServerResponse {
 pub struct AppServer {
     pub db: XmlDb,
     pub metrics: ServerMetrics,
-    /// Whole-document snapshots by URI: the degradation cache. Refreshed at
-    /// construction and after every successful `/update`, each time equal
-    /// to a full dump of the store, so a degraded response is always a
-    /// well-formed document the server once served — possibly stale, never
-    /// torn. A refresh re-serialises only the documents the database
-    /// reports changed since the previous refresh, whatever route changed
-    /// them.
-    snapshots: HashMap<String, String>,
 }
 
 impl AppServer {
@@ -115,45 +103,27 @@ impl AppServer {
     /// shards use this: only the shard owning `corpus.xml` holds the
     /// corpus; the rest serve whatever documents route to them.
     pub fn from_db(db: XmlDb) -> Self {
-        let mut server = AppServer {
+        AppServer {
             db,
             metrics: ServerMetrics::default(),
-            snapshots: HashMap::new(),
-        };
-        server.refresh_snapshots();
-        server
-    }
-
-    /// Brings the degradation cache up to date with the store: documents
-    /// changed since the last refresh are re-serialised, unbound ones
-    /// dropped.
-    pub fn refresh_snapshots(&mut self) {
-        for (uri, xml) in self.db.take_changed() {
-            match xml {
-                Some(xml) => self.snapshots.insert(uri, xml),
-                None => self.snapshots.remove(&uri),
-            };
         }
     }
 
-    /// Whether the degradation cache equals a full dump of the store.
-    #[cfg(test)]
-    pub(crate) fn cache_equals_dump(&self) -> bool {
-        self.snapshots == self.db.dump().into_iter().collect::<HashMap<_, _>>()
-    }
-
-    /// The cached whole-document snapshot a degraded request falls back to:
-    /// `/doc?uri=U` degrades to the snapshot of `U`, every other
-    /// render-class route (`/page`, `/index`) to the corpus snapshot. The
-    /// response carries an `X-XQIB-Degraded` marker so clients can tell a
-    /// fallback from a fresh render.
+    /// The whole stored document a degraded request falls back to:
+    /// `/doc?uri=U` degrades to `U`, every other render-class route
+    /// (`/page`, `/index`) to the corpus. The body is the same
+    /// digest-checked serialisation a fresh `/doc` serves at that moment —
+    /// whole, never torn — but the read is not counted as a `/doc` read.
+    /// `None` when the document is unbound or its digest check refuses it.
+    /// The response carries an `X-XQIB-Degraded` marker so clients can tell
+    /// a fallback from a fresh render.
     pub fn degraded_snapshot(&self, url: &str) -> Option<ServerResponse> {
         let (path, query) = split_url(url);
         let uri = match path.as_str() {
             "/doc" => param(&query, "uri")?,
             _ => render::CORPUS_URI.to_string(),
         };
-        let body = self.snapshots.get(&uri)?.clone();
+        let body = self.db.verified_serialize(&uri).ok()??;
         Some(
             ServerResponse::new(200, body)
                 .with_header("X-XQIB-Degraded", "whole-document-snapshot"),
@@ -229,15 +199,7 @@ impl AppServer {
                 None => (bad_request("missing uri parameter"), 0),
             },
             "/query" | "/update" => match param(&query, "xq") {
-                Some(xq) => {
-                    let r = self.render_query(&xq, budget);
-                    if path == "/update" && r.0.status == 200 {
-                        // keep the degradation cache fresh: a later degraded
-                        // response reflects the last successful update
-                        self.refresh_snapshots();
-                    }
-                    r
-                }
+                Some(xq) => self.render_query(&xq, budget),
                 None => (bad_request("missing xq parameter"), 0),
             },
             "/metrics" => (
@@ -570,10 +532,41 @@ mod tests {
             snap.body
         );
         assert!(s.degraded_snapshot("/doc?uri=missing.xml").is_none());
-        // the cache follows successful updates
+        // the degraded body follows every write: a successful update…
         s.handle("/update?xq=insert+node+%3Cnote%3Ehi%3C%2Fnote%3E+into+doc(%27corpus.xml%27)%2F*");
         let snap = s.degraded_snapshot("/index").unwrap();
         assert!(snap.body.contains("<note>hi</note>"));
+        // …and an updating query
+        s.handle(&xq_url(
+            "/query",
+            "insert node <memo>q</memo> into doc('corpus.xml')/*",
+        ));
+        let snap = s.degraded_snapshot("/page?article=j0-v0-i0-a0").unwrap();
+        assert!(snap.body.contains("<memo>q</memo>"));
+    }
+
+    #[test]
+    fn set_style_on_a_durable_server_is_journaled_and_sealed() {
+        for route in ["/query", "/update"] {
+            let disk = VirtualDisk::new();
+            let corpus = generate_corpus(&CorpusSpec::default());
+            let mut s =
+                AppServer::new_durable(&corpus, disk.clone(), DurabilityConfig::default()).unwrap();
+            let r = s.handle(&xq_url(
+                route,
+                "set style 'color' of doc('corpus.xml')/* to 'red'",
+            ));
+            assert_eq!(r.status, 200, "{route}: {}", r.body);
+            let r = s.handle("/doc?uri=corpus.xml");
+            assert_eq!(r.status, 200, "{route}: {}", r.body);
+            assert!(r.body.starts_with("<library style=\"color: red\">"));
+            // the rewrite was journaled: the recovered image serves it too
+            disk.crash();
+            let mut s = AppServer::recover(disk, DurabilityConfig::default()).unwrap();
+            let recovered = s.handle("/doc?uri=corpus.xml");
+            assert_eq!(recovered.status, 200, "{route}: {}", recovered.body);
+            assert_eq!(recovered.body, r.body, "{route}");
+        }
     }
 
     /// `/route?xq=<percent-encoded src>`.
@@ -590,8 +583,8 @@ mod tests {
 
     /// One step of the differential sequence below, against `doc`; `n`
     /// tags written nodes so every write is distinct. Returns the step's
-    /// label and whether it refreshed the cache.
-    fn drive(s: &mut AppServer, kind: u8, doc: &str, n: u8) -> (String, bool) {
+    /// label.
+    fn drive(s: &mut AppServer, kind: u8, doc: &str, n: u8) -> String {
         let into = format!("doc('{doc}')/*");
         match kind {
             0 => {
@@ -599,7 +592,7 @@ mod tests {
                     "/update",
                     &format!("insert node <i n=\"{n}\"/> into {into}"),
                 ));
-                (format!("update {doc}: {}", r.status), r.status == 200)
+                format!("update {doc}: {}", r.status)
             }
             1 => {
                 // fails before applying anything (conflicting renames)
@@ -608,7 +601,7 @@ mod tests {
                     &format!("(rename node {into} as 'a', rename node {into} as 'b')"),
                 ));
                 assert_ne!(r.status, 200);
-                (format!("conflicting update {doc}"), false)
+                format!("conflicting update {doc}")
             }
             2 => {
                 // fails after its first statement's PUL was applied
@@ -617,7 +610,7 @@ mod tests {
                     &format!("{{ insert node <half n=\"{n}\"/> into {into}; 1 div 0 }}"),
                 ));
                 assert_ne!(r.status, 200);
-                (format!("half-applied script {doc}"), false)
+                format!("half-applied script {doc}")
             }
             3 => {
                 let (r, _) = s.handle_budgeted(
@@ -625,44 +618,41 @@ mod tests {
                     Some(3),
                 );
                 assert_eq!(r.status, 504, "{}", r.body);
-                (format!("deadline-killed update {doc}"), false)
+                format!("deadline-killed update {doc}")
             }
             4 => {
                 s.handle(&xq_url(
                     "/query",
                     &format!("replace value of node {into}/@n with '{n}'"),
                 ));
-                (format!("updating query {doc}"), false)
+                format!("updating query {doc}")
             }
             5 => {
                 s.db.load(doc, &format!("<cart n=\"{n}\"><i/></cart>"))
                     .unwrap();
-                (format!("load {doc}"), false)
+                format!("load {doc}")
             }
-            6 => {
-                // rewrites the style attribute in place, outside any PUL
+            _ => {
+                // rewrites the style attribute through its own update list
                 s.handle(&xq_url(
                     "/query",
                     &format!("set style 'color' of {into} to 'c{n}'"),
                 ));
-                (format!("set style {doc}"), false)
-            }
-            _ => {
-                s.refresh_snapshots();
-                ("refresh".to_string(), true)
+                format!("set style {doc}")
             }
         }
     }
 
     proptest! {
-        /// Differential test of the incremental degradation cache: random
-        /// successful, failing, half-applied and deadline-killed updates,
-        /// updating queries, `set style` rewrites and loads, against an ephemeral and a durable
-        /// server (small checkpoint threshold, so checkpoints interleave).
-        /// After every refresh the cache equals a full dump.
+        /// Differential test of the degraded read: random successful,
+        /// failing, half-applied and deadline-killed updates, updating
+        /// queries, `set style` rewrites and loads, against an ephemeral
+        /// and a durable server (small checkpoint threshold, so checkpoints
+        /// interleave). After every step each document's degraded body
+        /// equals the body of a fresh 200 `/doc`, or both are absent.
         #[test]
-        fn incremental_cache_refresh_equals_full_dump(
-            ops in prop::collection::vec((0u8..8, 0usize..3, any::<u8>()), 1..24),
+        fn degraded_snapshot_equals_a_fresh_doc_read(
+            ops in prop::collection::vec((0u8..7, 0usize..3, any::<u8>()), 1..24),
         ) {
             let corpus = generate_corpus(&CorpusSpec {
                 journals: 1,
@@ -681,14 +671,26 @@ mod tests {
             ];
             let docs = [render::CORPUS_URI, "a.xml", "b.xml"];
             for s in &mut servers {
-                prop_assert!(s.cache_equals_dump(), "after construction");
-                for (i, &(kind, doc, n)) in ops.iter().enumerate() {
-                    let before = s.snapshots.clone();
-                    let (step, refreshed) = drive(s, kind, docs[doc], n);
-                    if refreshed {
-                        prop_assert!(s.cache_equals_dump(), "cache diverged after step {} ({})", i, step);
-                    } else {
-                        prop_assert!(s.snapshots == before, "step {} ({}) refreshed the cache", i, step);
+                let steps = std::iter::once(None).chain(ops.iter().map(Some));
+                for (i, op) in steps.enumerate() {
+                    let step = match op {
+                        None => "construction".to_string(),
+                        Some(&(kind, doc, n)) => drive(s, kind, docs[doc], n),
+                    };
+                    for d in docs {
+                        let url = format!("/doc?uri={d}");
+                        let degraded = s.degraded_snapshot(&url);
+                        let fresh = s.handle(&url);
+                        match degraded {
+                            Some(r) => prop_assert!(
+                                fresh.status == 200 && r.body == fresh.body,
+                                "{} diverged from /doc after step {} ({})", d, i, step
+                            ),
+                            None => prop_assert!(
+                                fresh.status != 200,
+                                "{} missing its degraded body after step {} ({})", d, i, step
+                            ),
+                        }
                     }
                 }
             }

@@ -28,6 +28,7 @@ use crate::corpus::{generate_corpus, CorpusSpec};
 use crate::governor::{
     Admission, Class, Completion, GovernedServer, GovernorConfig, Outcome, OverloadStats,
 };
+use crate::metrics::nearest_rank;
 use crate::server::AppServer;
 use crate::xmldb::DurabilityConfig;
 
@@ -157,7 +158,7 @@ pub struct ClassStats {
     pub issued: u64,
     /// 200-class responses served fresh.
     pub ok: u64,
-    /// Responses served from the degradation cache (`X-XQIB-Degraded`).
+    /// Responses degraded to the whole stored document (`X-XQIB-Degraded`).
     pub degraded: u64,
     /// Shed with 503 + `Retry-After` (admission overflow or CoDel).
     pub shed: u64,
@@ -180,13 +181,7 @@ pub struct ClassStats {
 impl ClassStats {
     /// Nearest-rank percentile over the delivered latencies (0 if none).
     pub fn latency_percentile(&self, pct: u64) -> u64 {
-        if self.latencies.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.latencies.clone();
-        sorted.sort_unstable();
-        let rank = (sorted.len() * pct.min(100) as usize).div_ceil(100);
-        sorted[rank.max(1) - 1]
+        nearest_rank(self.latencies.iter().copied(), pct)
     }
 
     /// Useful responses (fresh + degraded).
@@ -234,16 +229,8 @@ impl SimReport {
 
     /// p99 latency across every class, virtual ms.
     pub fn latency_p99(&self) -> u64 {
-        let mut all: Vec<u64> = self
-            .per_class
-            .iter()
-            .flat_map(|c| c.latencies.iter().copied())
-            .collect();
-        if all.is_empty() {
-            return 0;
-        }
-        all.sort_unstable();
-        all[(all.len() * 99).div_ceil(100).max(1) - 1]
+        let all = self.per_class.iter().flat_map(|c| &c.latencies);
+        nearest_rank(all.copied(), 99)
     }
 }
 
@@ -575,13 +562,6 @@ impl ClusterReport {
     }
 }
 
-fn nearest_rank(sorted: &[u64], pct: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[(sorted.len() * pct.min(100) as usize).div_ceil(100).max(1) - 1]
-}
-
 /// Runs the cluster chaos scenario to completion. Returns the report and
 /// the cluster itself so tests can keep tormenting it (crash every
 /// leader, re-verify the ledger) after the run.
@@ -740,9 +720,8 @@ pub fn run_cluster_sim(cfg: &ClusterSimConfig) -> (ClusterReport, Cluster) {
     for done in rest {
         settle(done, &mut report, &mut in_flight, &mut ack_latencies);
     }
-    ack_latencies.sort_unstable();
-    report.ack_latency_p50 = nearest_rank(&ack_latencies, 50);
-    report.ack_latency_p99 = nearest_rank(&ack_latencies, 99);
+    report.ack_latency_p50 = nearest_rank(ack_latencies.iter().copied(), 50);
+    report.ack_latency_p99 = nearest_rank(ack_latencies.iter().copied(), 99);
     report.stats = c.stats();
     report.integrity = c.integrity_stats();
     report.final_epoch = c.epoch();

@@ -147,10 +147,6 @@ pub struct XmlDb {
     /// (durable mode only): what the read path and the scrubber verify
     /// served bytes against.
     digests: BTreeMap<String, u64>,
-    /// Documents changed since the last [`Self::take_changed`], each with
-    /// the serialisation its digest seal hashed, if one was made after its
-    /// last change.
-    changed: BTreeMap<String, Option<String>>,
 }
 
 impl Default for XmlDb {
@@ -170,7 +166,6 @@ impl XmlDb {
             plan_mode: true,
             durable: None,
             digests: BTreeMap::new(),
-            changed: BTreeMap::new(),
         }
     }
 
@@ -253,13 +248,6 @@ impl XmlDb {
         if torn {
             stats.torn_tails_dropped = 1;
         }
-        db.changed = db
-            .store
-            .borrow()
-            .uri_bindings()
-            .into_iter()
-            .map(|(uri, _)| (uri, None))
-            .collect();
         db.durable = Some(Durable {
             disk,
             wal,
@@ -393,7 +381,7 @@ impl XmlDb {
                 None => store.add_document(doc, Some(uri)),
             }
         };
-        self.record_changes(vec![uri.to_string()]);
+        self.seal(vec![uri.to_string()]);
         self.after_journaled_ops();
         Ok(id)
     }
@@ -403,21 +391,6 @@ impl XmlDb {
         let store = self.store.borrow();
         let id = store.doc_by_uri(uri)?;
         Some(xqib_dom::serialize::serialize_document(store.doc(id)))
-    }
-
-    /// Drains the documents changed since the last call — every load and
-    /// every applied PUL, on any route, including scripts that failed after
-    /// an apply — each with its current serialisation, or `None` once it is
-    /// no longer bound. Applying the result to a per-document cache keeps
-    /// it equal to [`Self::dump`] at the cost of the documents touched.
-    pub fn take_changed(&mut self) -> Vec<(String, Option<String>)> {
-        std::mem::take(&mut self.changed)
-            .into_iter()
-            .map(|(uri, xml)| {
-                let xml = xml.or_else(|| self.serialize(&uri));
-                (uri, xml)
-            })
-            .collect()
     }
 
     /// Serialises every bound document, sorted by URI (checkpoint and
@@ -771,7 +744,7 @@ impl XmlDb {
 
     /// Appends the redo records a query produced — even when the query
     /// later failed, any PUL it already applied (mid-script) must be
-    /// journaled — records the documents it changed, then runs the
+    /// journaled — seals the documents it changed, then runs the
     /// group-commit / checkpoint policy.
     fn finish_writes(&mut self, ctx: &mut DynamicContext) {
         if let (Some(journal), Some(d)) = (ctx.pul_journal.take(), &mut self.durable) {
@@ -781,14 +754,8 @@ impl XmlDb {
                 d.pending_ops += 1;
             }
         }
-        // `set style` rewrites bypass the journal and are never sealed; a
-        // seal below, taken after every write of this query, may still
-        // replace the mark with fresh bytes
-        for uri in self.uris_of(&ctx.styled_docs) {
-            self.changed.insert(uri, None);
-        }
         let touched = self.uris_of(&ctx.touched_docs);
-        self.record_changes(touched);
+        self.seal(touched);
         self.after_journaled_ops();
     }
 
@@ -806,31 +773,27 @@ impl XmlDb {
         uris
     }
 
-    /// Records the documents a load or an applied PUL changed: each joins
-    /// the changed set ([`Self::take_changed`]). In durable mode each also
-    /// gets its content digest sealed — recomputed from the applied store,
-    /// recorded, and journaled as a digest frame: the end-to-end integrity
-    /// assertion recovery, replication and the scrubber all verify against
-    /// — and the sealed serialisation is kept for the changed set, so a
-    /// write serialises each document once. Ephemeral databases seal
-    /// nothing: the digest map tracks *acknowledged* state, which they lack.
-    fn record_changes(&mut self, uris: Vec<String>) {
+    /// Seals the documents a load or an applied PUL changed (durable mode
+    /// only): each one's content digest is recomputed from the applied
+    /// store, recorded, and journaled as a digest frame — the end-to-end
+    /// integrity assertion recovery, replication, the read path and the
+    /// scrubber all verify against. Ephemeral databases seal nothing: the
+    /// digest map tracks *acknowledged* state, which they lack.
+    fn seal(&mut self, uris: Vec<String>) {
+        if self.durable.is_none() {
+            return;
+        }
         for uri in uris {
-            let sealed = match self.durable {
-                Some(_) => self.serialize(&uri),
-                None => None,
+            let Some(xml) = self.serialize(&uri) else {
+                continue;
             };
-            if let (Some(xml), Some(d)) = (&sealed, &mut self.durable) {
-                let digest = content_digest(&uri, xml);
-                self.digests.insert(uri.clone(), digest);
+            let digest = content_digest(&uri, &xml);
+            self.digests.insert(uri.clone(), digest);
+            if let Some(d) = &mut self.durable {
                 d.stats.wal_appends += 1;
-                d.last_appended = d.wal.append(&WalRecord::Digest {
-                    uri: uri.clone(),
-                    digest,
-                });
+                d.last_appended = d.wal.append(&WalRecord::Digest { uri, digest });
                 d.pending_ops += 1;
             }
-            self.changed.insert(uri, sealed);
         }
     }
 

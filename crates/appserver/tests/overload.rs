@@ -204,7 +204,7 @@ fn flood_responses_are_honest() {
                     c.response.header("X-XQIB-Degraded"),
                     Some("whole-document-snapshot")
                 );
-                // a whole, untorn document — byte-identical to the cache
+                // a whole, untorn document — byte-identical to the store
                 assert_eq!(c.response.body, snapshot);
             }
             Outcome::Served => assert_eq!(c.response.status, 200),

@@ -37,19 +37,22 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            timeout_ms: 1_000,
-            max_attempts: 3,
-            backoff_base_ms: 100,
-            backoff_factor: 2,
-            backoff_cap_ms: 10_000,
-            jitter_ms: 50,
-            jitter_seed: 0x5eed_5eed,
-        }
+        Self::DEFAULT
     }
 }
 
 impl RetryPolicy {
+    /// The default policy, usable in constants.
+    pub const DEFAULT: RetryPolicy = RetryPolicy {
+        timeout_ms: 1_000,
+        max_attempts: 3,
+        backoff_base_ms: 100,
+        backoff_factor: 2,
+        backoff_cap_ms: 10_000,
+        jitter_ms: 50,
+        jitter_seed: 0x5eed_5eed,
+    };
+
     /// A policy without jitter (exact, hand-computable timestamps).
     pub fn no_jitter(mut self) -> Self {
         self.jitter_ms = 0;

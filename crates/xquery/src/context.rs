@@ -153,8 +153,8 @@ pub struct DynamicContext {
     /// request deadline (see [`Self::set_deadline_fuel`]).
     pub fuel_code: &'static str,
     /// When set, committing a pending update list is a point of no return:
-    /// `apply_pending` clears the fuel budget before the first non-empty
-    /// apply, so a deadline can only kill a request that has not mutated
+    /// the evaluator clears the fuel budget before the first non-empty
+    /// apply (a hook-less `set style` rewrite is one), so a deadline can only kill a request that has not mutated
     /// anything yet — a deadline-killed request has exactly zero applied
     /// (and zero journaled) effects.
     pub fuel_commit_exempt: bool,
@@ -162,13 +162,10 @@ pub struct DynamicContext {
     /// encoded (against the pre-apply store) and pushed here, in apply
     /// order. The durable `XmlDb` moves it into its write-ahead log.
     pub pul_journal: Option<Vec<Vec<u8>>>,
-    /// Documents changed by successfully applied PULs, in first-touch
-    /// order, with or without a journal. A host that caches per-document
-    /// state refreshes these and `styled_docs`.
+    /// Documents changed by successfully applied PULs (hook-less `set
+    /// style` rewrites included), in first-touch order, with or without a
+    /// journal. The durable `XmlDb` seals these.
     pub touched_docs: Vec<DocId>,
-    /// Documents whose `style` attribute a hook-less `set style` rewrote in
-    /// place: a change outside any PUL, so never journaled.
-    pub styled_docs: Vec<DocId>,
 }
 
 /// A restore point for the parts of the dynamic context a panicking or
@@ -215,7 +212,6 @@ impl DynamicContext {
             fuel_commit_exempt: false,
             pul_journal: None,
             touched_docs: Vec::new(),
-            styled_docs: Vec::new(),
         }
     }
 

@@ -16,6 +16,7 @@ use xqib_xdm::{
 use crate::ast::*;
 use crate::context::DynamicContext;
 use crate::functions;
+use crate::pul::{Pul, UpdatePrimitive};
 
 /// Internal control-flow code for `exit with` (never surfaces to callers).
 pub(crate) const EXIT_CODE: &str = "XQIB-EXIT";
@@ -564,15 +565,22 @@ fn eval_statement(ctx: &mut DynamicContext, stmt: &Statement) -> XdmResult<Seque
     }
 }
 
-/// Applies the accumulated pending update list to the store. When a redo
-/// journal is installed (durable server tier), the list is wire-encoded
-/// against the pre-apply store first and pushed to the journal only if the
-/// apply succeeds — a rolled-back apply must not leave a redo record. The
-/// target documents of a successful apply join `ctx.touched_docs`.
+/// Applies the accumulated pending update list to the store (see
+/// `apply_pul`).
 pub fn apply_pending(ctx: &mut DynamicContext) -> XdmResult<()> {
     if ctx.pul.is_empty() {
         return Ok(());
     }
+    let pul = ctx.pul.take();
+    apply_pul(ctx, pul)
+}
+
+/// Applies one non-empty pending update list to the store. When a redo
+/// journal is installed (durable server tier), the list is wire-encoded
+/// against the pre-apply store first and pushed to the journal only if the
+/// apply succeeds — a rolled-back apply must not leave a redo record. The
+/// target documents of a successful apply join `ctx.touched_docs`.
+fn apply_pul(ctx: &mut DynamicContext, pul: Pul) -> XdmResult<()> {
     // Point of no return for deadline-budgeted requests: once the first
     // non-empty pending update list starts committing, the deadline may no
     // longer preempt — shedding mid-transaction would trade a late response
@@ -581,7 +589,6 @@ pub fn apply_pending(ctx: &mut DynamicContext) -> XdmResult<()> {
     if ctx.fuel_commit_exempt {
         ctx.fuel = None;
     }
-    let pul = ctx.pul.take();
     let mut store = ctx.store.borrow_mut();
     let encoded = match ctx.pul_journal {
         Some(_) => Some(crate::wire::encode_pul(&store, &pul)?),
@@ -698,36 +705,47 @@ pub fn render_style_attr(props: &[(String, String)]) -> String {
         .join("; ")
 }
 
+/// The hook-less `set style`: rewrites the target's `style` attribute as
+/// one replace-value of the existing attribute, or one attribute insert,
+/// applied at once in a list of its own through [`apply_pul`] — so it is
+/// journaled and sealed like any update, while the query's accumulated
+/// list stays pending.
 fn set_style_attribute(
     ctx: &mut DynamicContext,
     target: NodeRef,
     prop: &str,
     value: &str,
 ) -> XdmResult<()> {
-    let mut store = ctx.store.borrow_mut();
-    let doc = store.doc_mut(target.doc);
-    if !doc.kind(target.node).is_element() {
-        return Err(XdmError::type_error("set style target must be an element"));
-    }
-    let existing = doc
-        .get_attribute(target.node, None, "style")
-        .unwrap_or("")
-        .to_string();
-    let mut props = parse_style_attr(&existing);
-    match props.iter_mut().find(|(p, _)| p == prop) {
-        Some(slot) => slot.1 = value.to_string(),
-        None => props.push((prop.to_string(), value.to_string())),
-    }
-    doc.set_attribute(
-        target.node,
-        QName::local("style"),
-        render_style_attr(&props),
-    )
-    .map_err(|e| XdmError::new("XQIB0003", e.to_string()))?;
-    if !ctx.styled_docs.contains(&target.doc) {
-        ctx.styled_docs.push(target.doc);
-    }
-    Ok(())
+    let prim = {
+        let mut store = ctx.store.borrow_mut();
+        let doc = store.doc_mut(target.doc);
+        if !doc.kind(target.node).is_element() {
+            return Err(XdmError::type_error("set style target must be an element"));
+        }
+        let existing = doc.get_attribute(target.node, None, "style").unwrap_or("");
+        let mut props = parse_style_attr(existing);
+        match props.iter_mut().find(|(p, _)| p == prop) {
+            Some(slot) => slot.1 = value.to_string(),
+            None => props.push((prop.to_string(), value.to_string())),
+        }
+        let value = render_style_attr(&props);
+        match doc.attribute_node(target.node, None, "style") {
+            Some(attr) => UpdatePrimitive::ReplaceValue {
+                target: NodeRef::new(target.doc, attr),
+                value,
+            },
+            None => {
+                let attr = doc.create_attribute(QName::local("style"), value);
+                UpdatePrimitive::InsertAttributes {
+                    target,
+                    attrs: vec![NodeRef::new(target.doc, attr)],
+                }
+            }
+        }
+    };
+    let mut pul = Pul::new();
+    pul.push(prim);
+    apply_pul(ctx, pul)
 }
 
 fn get_style_attribute(ctx: &DynamicContext, target: NodeRef, prop: &str) -> Option<String> {

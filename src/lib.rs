@@ -30,3 +30,9 @@ pub use xqib_minijs as minijs;
 pub use xqib_storage as storage;
 pub use xqib_xdm as xdm;
 pub use xqib_xquery as xquery;
+
+// Every Rust block of the README runs as a doctest, so its examples
+// cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
