@@ -110,11 +110,11 @@ pub struct GovernorConfig {
 impl Default for GovernorConfig {
     fn default() -> Self {
         // Calibration: with the default corpus a compiled `/page` render
-        // costs ≈1.8k fuel, the `/index` page ≈3.3k and an ad-hoc count
-        // query ≈1.6k, so at 100 fuel/ms renders take ≈18–33 virtual ms
-        // and the 100 ms render deadline leaves honest headroom under
-        // moderate queueing. On the 128-article benchmark corpus they cost
-        // ≈4.5k and ≈8.7k.
+        // costs ≈240 fuel (the attribute index serves its article
+        // lookup), the `/index` page ≈3.3k and an ad-hoc count query ≈20,
+        // so at 100 fuel/ms renders take ≈3–33 virtual ms and the 100 ms
+        // render deadline leaves honest headroom under moderate queueing.
+        // On the 128-article benchmark corpus they cost ≈240 and ≈8.7k.
         GovernorConfig {
             queue_capacity: 64,
             deadline_ms: [100, 150, 200], // render, update, query

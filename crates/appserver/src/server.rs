@@ -316,18 +316,22 @@ mod tests {
         assert!(s.metrics.bytes_out > 0);
         // The counters belong to this server's store, so they are exact.
         // The compiled render streams every path in document order, so it
-        // neither sorts nor needs the order index.
+        // neither sorts nor needs the order index; it takes the article
+        // from one probe of the attribute index, built for it.
         assert_eq!(
             s.db.engine_stats(),
             xqib_dom::EngineStats {
                 order_index_rebuilds: 0,
                 sorts_performed: 0,
                 sorts_elided: 0,
+                attr_index_builds: 1,
+                attr_index_probes: 1,
             }
         );
         // The interpreter renders the same page; its two multi-node steps
         // each run from a single context node, so their normalisation is
-        // elided and the render still never needs the order index.
+        // elided and the render still never needs the order index. It
+        // walks instead of probing the attribute index.
         let mut s = server();
         s.db.plan_mode = false;
         let interpreted = s.handle("http://ref2.example/page?article=j0-v0-i0-a0");
@@ -338,6 +342,8 @@ mod tests {
                 order_index_rebuilds: 0,
                 sorts_performed: 0,
                 sorts_elided: 2,
+                attr_index_builds: 0,
+                attr_index_probes: 0,
             }
         );
     }

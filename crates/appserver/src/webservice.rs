@@ -86,10 +86,6 @@ impl WebServiceHost {
 
     fn call_inner(&mut self, local: &str, args: &[&str]) -> XdmResult<String> {
         let qname = xqib_dom::QName::ns(&self.module.uri, local);
-        let decl = self
-            .sctx
-            .lookup_function(&qname, args.len())
-            .ok_or_else(|| XdmError::unknown_function(local, args.len()))?;
         let store = shared_store();
         let mut ctx = DynamicContext::new(store, self.sctx.clone());
         let argv: Vec<Sequence> = args
@@ -104,7 +100,7 @@ impl WebServiceHost {
                 }]
             })
             .collect();
-        let result = xqib_xquery::eval::call_user_function(&mut ctx, &decl, argv)?;
+        let result = xqib_xquery::eval::call_function(&mut ctx, &qname, argv)?;
         Ok(xqib_xquery::runtime::render_sequence(&ctx, &result))
     }
 

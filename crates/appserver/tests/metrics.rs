@@ -18,6 +18,8 @@ const GOVERNED: &str = "<metrics>\
     <order-index-rebuilds>0</order-index-rebuilds>\
     <sorts-performed>0</sorts-performed>\
     <sorts-elided>0</sorts-elided>\
+    <attr-index-builds>1</attr-index-builds>\
+    <attr-index-probes>2</attr-index-probes>\
     <wal-appends>4</wal-appends>\
     <wal-fsyncs>2</wal-fsyncs>\
     <checkpoints>0</checkpoints>\
@@ -31,7 +33,7 @@ const GOVERNED: &str = "<metrics>\
     <degraded>0</degraded>\
     <deadline-exceeded>0</deadline-exceeded>\
     <queue-delay-p50-ms>0</queue-delay-p50-ms>\
-    <queue-delay-p99-ms>19</queue-delay-p99-ms>\
+    <queue-delay-p99-ms>3</queue-delay-p99-ms>\
     <plan-cache-hits>0</plan-cache-hits>\
     <plan-cache-misses>4</plan-cache-misses>\
     <plan-cache-evictions>0</plan-cache-evictions>\
@@ -101,6 +103,8 @@ const CLUSTER: &str = "<metrics>\
     <order-index-rebuilds>0</order-index-rebuilds>\
     <sorts-performed>0</sorts-performed>\
     <sorts-elided>0</sorts-elided>\
+    <attr-index-builds>0</attr-index-builds>\
+    <attr-index-probes>0</attr-index-probes>\
     <wal-appends>0</wal-appends>\
     <wal-fsyncs>0</wal-fsyncs>\
     <checkpoints>0</checkpoints>\

@@ -5,10 +5,11 @@
 //! degraded counts) come out of the simulator itself — so the binary
 //! writes `BENCH_overload.json` directly.
 //!
-//! Workload: a steady 20 req/s trickle with a 2-second burst at 120 req/s
-//! (≈2× the ≈60 req/s mixed-workload capacity measured for the default
-//! corpus at 100 fuel/ms), mixed render/query/update traffic, no
-//! injected faults — overload is the only adversary.
+//! Workload: a steady 20 req/s trickle with a 2-second burst at 420 req/s
+//! (≈2× the ≈210 req/s mixed-workload capacity measured for the default
+//! corpus at 100 fuel/ms: a mean modelled service time of 4.8 ms over
+//! 1,200 unqueued requests of the default mix), mixed render/query/update
+//! traffic, no injected faults — overload is the only adversary.
 
 use xqib_appserver::governor::Class;
 use xqib_appserver::simulate::{run_sim, ArrivalPattern, SimConfig, SimReport};
@@ -17,7 +18,7 @@ fn burst_config(seed: u64, governed: bool) -> SimConfig {
     let mut cfg = SimConfig::steady(seed, 20, 6_000);
     cfg.clients[0].pattern = ArrivalPattern::Burst {
         base_rps: 20,
-        burst_rps: 120,
+        burst_rps: 420,
         from_ms: 1_000,
         to_ms: 3_000,
     };

@@ -10,6 +10,7 @@
 
 use std::cell::{Ref, RefCell};
 
+use crate::attr_index::AttrIndex;
 use crate::error::{DomError, DomResult};
 use crate::name::QName;
 use crate::node::{NodeData, NodeId, NodeKind};
@@ -30,6 +31,11 @@ pub struct Document {
     epoch: u64,
     /// Lazily (re)built document-order interval index; see [`OrderIndex`].
     order_index: RefCell<OrderIndex>,
+    /// Bumped by every attribute value change and every rename; together
+    /// with `epoch` it decides whether the attribute index is fresh.
+    attr_epoch: u64,
+    /// Lazily built per-name attribute-value tables; see [`AttrIndex`].
+    attr_index: RefCell<AttrIndex>,
 }
 
 impl Default for Document {
@@ -51,6 +57,8 @@ impl Document {
             base_uri: None,
             epoch: 0,
             order_index: RefCell::new(OrderIndex::default()),
+            attr_epoch: 0,
+            attr_index: RefCell::new(AttrIndex::default()),
         }
     }
 
@@ -86,6 +94,29 @@ impl Document {
     /// Times this document's order index has been (re)built.
     pub fn order_index_rebuilds(&self) -> u64 {
         self.order_index.borrow().rebuilds()
+    }
+
+    /// Marks an attribute value or a name as changed, invalidating the
+    /// attribute index (structural changes invalidate it through `touch`).
+    #[inline]
+    fn touch_attrs(&mut self) {
+        self.attr_epoch += 1;
+    }
+
+    /// The attached elements whose attribute `name` has exactly `value`,
+    /// in document order — what `descendant::*[@name = value]` from the
+    /// document node keeps. The table for `name` is built on its first
+    /// probe and whenever a mutation made it stale.
+    pub fn elements_with_attribute(&self, name: &QName, value: &str) -> Ref<'_, [NodeId]> {
+        self.attr_index
+            .borrow_mut()
+            .prepare(self, (self.epoch, self.attr_epoch), name);
+        Ref::map(self.attr_index.borrow(), |ix| ix.get(name, value))
+    }
+
+    /// `(tables built, probes answered)` by this document's attribute index.
+    pub fn attr_index_counts(&self) -> (u64, u64) {
+        self.attr_index.borrow().counts()
     }
 
     /// The document node.
@@ -564,6 +595,7 @@ impl Document {
                 NodeKind::Attribute { value: v, .. } => *v = value,
                 _ => unreachable!(),
             }
+            self.touch_attrs();
             return Ok(existing);
         }
         let attr = self.create_attribute(name, value);
@@ -589,6 +621,7 @@ impl Document {
     /// Renames an element, attribute or PI (Update Facility `rename node`).
     pub fn rename(&mut self, id: NodeId, new_name: QName) -> DomResult<()> {
         self.check_exists(id)?;
+        self.touch_attrs();
         match &mut self.nodes[id.index()].kind {
             NodeKind::Element { name, .. } | NodeKind::Attribute { name, .. } => {
                 *name = new_name;
@@ -609,6 +642,9 @@ impl Document {
     /// (Update Facility `replace value of node` for simple nodes).
     pub fn set_simple_value(&mut self, id: NodeId, value: impl Into<String>) -> DomResult<()> {
         self.check_exists(id)?;
+        if self.nodes[id.index()].kind.is_attribute() {
+            self.touch_attrs();
+        }
         match &mut self.nodes[id.index()].kind {
             NodeKind::Text { value: v }
             | NodeKind::Comment { value: v }

@@ -10,6 +10,8 @@
 //! * a multi-document [`Store`] with global node identity ([`NodeRef`]);
 //! * a from-scratch, namespace-aware **XML/XHTML parser** ([`parse_document`]);
 //! * **document order** comparison and stable sorting of node sets;
+//! * a lazy per-document **attribute-value index** answering
+//!   `[@id = "x"]`-style lookups without a walk;
 //! * a **mutation API** (insert/detach/replace/rename/deep-copy) used by the
 //!   XQuery Update Facility to update live web pages, exactly as the paper's
 //!   plug-in updates Internet Explorer's DOM through an XDM wrapper;
@@ -19,6 +21,7 @@
 //! premise is that XQuery "can natively process (untyped) Web pages" (§3.1).
 
 pub mod arena;
+mod attr_index;
 pub mod error;
 pub mod name;
 pub mod node;

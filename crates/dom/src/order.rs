@@ -23,7 +23,7 @@ use crate::arena::Document;
 use crate::node::NodeId;
 use crate::store::{NodeRef, Store};
 
-/// Order-index and path-normalisation counters of one [`Store`] (see
+/// Index and path-normalisation counters of one [`Store`] (see
 /// [`Store::engine_stats`]), so the wins (and rebuild storms) are
 /// observable per server instance from `/metrics`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -34,20 +34,28 @@ pub struct EngineStats {
     pub sorts_performed: u64,
     /// Axis steps whose normalisation was proven unnecessary.
     pub sorts_elided: u64,
+    /// Per-name attribute-index tables built (one O(n) traversal each).
+    pub attr_index_builds: u64,
+    /// Candidate lists answered by the attribute index instead of a walk.
+    pub attr_index_probes: u64,
 }
 
 impl EngineStats {
     /// Every counter under its `/metrics` element name, in report order.
-    pub fn counters(&self) -> [(&'static str, u64); 3] {
+    pub fn counters(&self) -> [(&'static str, u64); 5] {
         let EngineStats {
             order_index_rebuilds,
             sorts_performed,
             sorts_elided,
+            attr_index_builds,
+            attr_index_probes,
         } = *self;
         [
             ("order-index-rebuilds", order_index_rebuilds),
             ("sorts-performed", sorts_performed),
             ("sorts-elided", sorts_elided),
+            ("attr-index-builds", attr_index_builds),
+            ("attr-index-probes", attr_index_probes),
         ]
     }
 }

@@ -417,6 +417,8 @@ pub struct FunctionDecl {
     pub return_type: Option<SequenceType>,
     pub kind: FunctionKind,
     pub body: Rc<Expr>,
+    /// The body's plan, lowered on the first compiled call.
+    pub(crate) lowered: crate::plan::LoweredBody,
 }
 
 /// A global variable declaration.

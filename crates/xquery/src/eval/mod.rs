@@ -609,12 +609,29 @@ fn apply_pul(ctx: &mut DynamicContext, pul: Pul) -> XdmResult<()> {
 
 // ----- function calls -------------------------------------------------------
 
-/// Calls a function by name with pre-evaluated arguments. Resolution order:
-/// `xs:` constructor → user-declared → native (browser library) → built-in.
+/// Runs a user-declared function's body inside the frame
+/// [`call_user_frame`] set up: the interpreter's `eval_expr`, or the plan
+/// tier's lowered body.
+pub(crate) type BodyRunner = fn(&mut DynamicContext, &FunctionDecl) -> XdmResult<Sequence>;
+
+/// Calls a function by name with pre-evaluated arguments, interpreting a
+/// user-declared body. Resolution order: `xs:` constructor →
+/// user-declared → native (browser library) → built-in.
 pub fn call_function(
     ctx: &mut DynamicContext,
     name: &QName,
     args: Vec<Sequence>,
+) -> XdmResult<Sequence> {
+    dispatch_call(ctx, name, args, |ctx, decl| eval_expr(ctx, &decl.body))
+}
+
+/// [`call_function`] with the tier that runs a user-declared body chosen
+/// by the caller.
+pub(crate) fn dispatch_call(
+    ctx: &mut DynamicContext,
+    name: &QName,
+    args: Vec<Sequence>,
+    run_body: BodyRunner,
 ) -> XdmResult<Sequence> {
     if name.ns.as_deref() == Some(XS_NS) {
         if args.len() == 1 {
@@ -625,7 +642,7 @@ pub fn call_function(
         return Err(XdmError::unknown_function(&name.lexical(), args.len()));
     }
     if let Some(decl) = ctx.sctx.lookup_function(name, args.len()) {
-        return call_user_function(ctx, &decl, args);
+        return call_user_frame(ctx, &decl, args, run_body);
     }
     if let Some(native) = ctx.lookup_native(name, args.len()) {
         return native(ctx, args);
@@ -636,12 +653,14 @@ pub fn call_function(
     Err(XdmError::unknown_function(&name.lexical(), args.len()))
 }
 
-/// Invokes a user-declared function: fresh frame, parameter binding with
-/// sequence-type checks, `exit with` handling for sequential functions.
-pub fn call_user_function(
+/// The one user-function frame both tiers share: recursion guard, fresh
+/// variable frame, parameter binding with sequence-type checks, the body
+/// run by `run_body`, `exit with` handling for sequential functions.
+pub(crate) fn call_user_frame(
     ctx: &mut DynamicContext,
     decl: &FunctionDecl,
     args: Vec<Sequence>,
+    run_body: BodyRunner,
 ) -> XdmResult<Sequence> {
     let used = ctx
         .stack_base
@@ -667,7 +686,7 @@ pub fn call_user_function(
             }
             ctx.bind_var(pname.clone(), value);
         }
-        eval_expr(ctx, &decl.body)
+        run_body(ctx, decl)
     })();
     ctx.pop_function_frame();
     ctx.call_depth -= 1;

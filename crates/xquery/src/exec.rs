@@ -14,9 +14,13 @@
 //! For every query, `CompiledPlan::execute` produces the same sequence,
 //! the same dynamic error codes and the same pending-update effects as
 //! `CompiledQuery::execute`, with one documented exception: under a fuel
-//! budget a streamed early exit may *succeed* where the interpreter runs
-//! out of fuel (never the other way around — the executor charges at least
-//! as eagerly). The machinery behind the guarantee:
+//! budget a streamed early exit or an index-backed step may *succeed*
+//! where the interpreter runs out of fuel (never the other way around —
+//! the executor charges at least as eagerly). User functions
+//! called from a plan, and listeners entered through `runtime::invoke`,
+//! run their lowered bodies in the interpreter's own call frame; the
+//! interpreter's own calls keep interpreting, so it stays an index-free
+//! reference. The machinery behind the guarantee:
 //!
 //! * lazy cursors are only built for paths lowering marked `lazy` (every
 //!   predicate stage statically infallible), so a cursor can fail only
@@ -28,14 +32,22 @@
 //! * anything outside the streaming subset — multi-item path starts,
 //!   fallible predicates, general FLWOR shapes — replays the interpreter's
 //!   breadth-first algorithm over the plan, value for value and charge
-//!   point for charge point.
+//!   point for charge point;
+//! * the attribute index only narrows a step's candidates: it lists, in
+//!   document order, exactly the descendants its first-stage probe can
+//!   keep, and every stage — the probe included — still runs on each, so
+//!   later predicates see the same positions, values and errors. A
+//!   `[@a = $v]` probe uses it only for one `xs:string` or
+//!   `xs:untypedAtomic` item, where general comparison is plain string
+//!   equality; any other `$v` may compare numerically or raise `FORG0001`,
+//!   so it walks.
 
 use xqib_dom::{NodeRef, QName, Store};
 use xqib_xdm::{
     atomize, effective_boolean_value, Atomic, EbvProbe, Item, Sequence, XdmError, XdmResult,
 };
 
-use crate::ast::Axis;
+use crate::ast::{Axis, FunctionDecl};
 use crate::context::DynamicContext;
 use crate::eval::arith::{apply_arith, atomic_from_seq, neg_atomic, range_bounds};
 use crate::eval::constructor::build_element;
@@ -45,8 +57,9 @@ use crate::eval::path::{
 };
 use crate::eval::{self, EXIT_CODE};
 use crate::plan::{
-    comparable_infallible, plan_class, yields_nodes_only, CompiledPlan, PathPlan, PathStartPlan,
-    Plan, PlanAxisStep, PlanClause, PlanPred, PlanStep, PlanStmt, PredStage, ValClass,
+    comparable_infallible, lowered_body, plan_class, yields_nodes_only, CompiledPlan, PathPlan,
+    PathStartPlan, Plan, PlanAxisStep, PlanClause, PlanPred, PlanStep, PlanStmt, PredStage,
+    ValClass,
 };
 
 impl CompiledPlan {
@@ -248,7 +261,13 @@ pub(crate) fn eval_plan(ctx: &mut DynamicContext, p: &Plan) -> XdmResult<Sequenc
             for a in args {
                 argv.push(eval_plan(ctx, a)?);
             }
-            eval::call_function(ctx, name, argv)
+            eval::dispatch_call(ctx, name, argv, run_lowered_body)
+        }
+        Plan::Block(stmts) => {
+            ctx.push_scope();
+            let r = exec_statements(ctx, stmts);
+            ctx.pop_scope();
+            r
         }
         Plan::Element(el) => build_element(
             ctx,
@@ -260,6 +279,16 @@ pub(crate) fn eval_plan(ctx: &mut DynamicContext, p: &Plan) -> XdmResult<Sequenc
         )
         .map(|n| vec![Item::Node(n)]),
     }
+}
+
+/// The plan tier's body runner for user-declared functions: the body
+/// lowered once on its declaration, run by this executor.
+pub(crate) fn run_lowered_body(
+    ctx: &mut DynamicContext,
+    decl: &FunctionDecl,
+) -> XdmResult<Sequence> {
+    let body = lowered_body(decl, &ctx.sctx);
+    eval_plan(ctx, body)
 }
 
 /// The arithmetic operand rule over a plan operand.
@@ -571,12 +600,15 @@ fn node_survivors(
     step: &PlanAxisStep,
     reverse: bool,
 ) -> XdmResult<Vec<NodeRef>> {
-    let candidates: Vec<NodeRef> = {
-        let store = ctx.store.borrow();
-        axis_nodes(&store, n, step.axis)
-            .into_iter()
-            .filter(|&c| node_test_matches(&store, c, step.axis, &step.test))
-            .collect()
+    let candidates: Vec<NodeRef> = match indexed_candidates(ctx, n, step) {
+        Some(hits) => hits,
+        None => {
+            let store = ctx.store.borrow();
+            axis_nodes(&store, n, step.axis)
+                .into_iter()
+                .filter(|&c| node_test_matches(&store, c, step.axis, &step.test))
+                .collect()
+        }
     };
     ctx.charge_fuel(candidates.len() as u64)?;
     let mut survivors = apply_stages(ctx, candidates, &step.stages)?;
@@ -584,6 +616,43 @@ fn node_survivors(
         survivors.reverse();
     }
     Ok(survivors)
+}
+
+/// The attribute index as the candidate source of one `descendant::t`
+/// step from a document node whose first stage is an attribute-equality
+/// probe: the literal `[@a = "v"]`, or `[@a = $v]` when `$v` holds one
+/// `xs:string` or `xs:untypedAtomic` item (anything else may compare
+/// numerically or raise, so it keeps the walk). Returns `None` to walk.
+/// The index only narrows candidates: every stage, the probe included,
+/// still runs on each one.
+fn indexed_candidates(
+    ctx: &DynamicContext,
+    n: NodeRef,
+    step: &PlanAxisStep,
+) -> Option<Vec<NodeRef>> {
+    if step.axis != Axis::Descendant {
+        return None;
+    }
+    let (name, value) = match step.stages.first()? {
+        PredStage::AttrEq { name, value } => (name, value.clone()),
+        PredStage::AttrEqVar { name, var, .. } => match ctx.lookup_var(var)?.as_slice() {
+            [Item::Atomic(Atomic::String(v) | Atomic::Untyped(v))] => (name, v.clone()),
+            _ => return None,
+        },
+        _ => return None,
+    };
+    let store = ctx.store.borrow();
+    let doc = store.doc(n.doc);
+    if n.node != doc.root() || !doc.kind(n.node).is_document() {
+        return None;
+    }
+    let hits = doc.elements_with_attribute(name, &value);
+    Some(
+        hits.iter()
+            .map(|&e| NodeRef::new(n.doc, e))
+            .filter(|&c| node_test_matches(&store, c, step.axis, &step.test))
+            .collect(),
+    )
 }
 
 fn apply_stages(
@@ -606,7 +675,7 @@ fn apply_stages(
                 let store = ctx.store.borrow();
                 current.retain(|&c| attr_eq(&store, c, name, value));
             }
-            PredStage::Filter(p) => {
+            PredStage::Filter(p) | PredStage::AttrEqVar { pred: p, .. } => {
                 let size = current.len();
                 let mut next = Vec::with_capacity(size);
                 for (i, &c) in current.iter().enumerate() {
@@ -808,7 +877,10 @@ fn open_node(ctx: &mut DynamicContext, n: NodeRef, step: &PlanAxisStep) -> XdmRe
     ) && step.stages.iter().all(|s| {
         matches!(
             s,
-            PredStage::AttrEq { .. } | PredStage::Filter(_) | PredStage::Take(PosTake::Index(_))
+            PredStage::AttrEq { .. }
+                | PredStage::AttrEqVar { .. }
+                | PredStage::Filter(_)
+                | PredStage::Take(PosTake::Index(_))
         )
     });
     if !walkable {
@@ -816,6 +888,9 @@ fn open_node(ctx: &mut DynamicContext, n: NodeRef, step: &PlanAxisStep) -> XdmRe
         // the interpreter elides the sort and reverses into document order
         let survivors = node_survivors(ctx, n, step, true)?;
         return Ok(StepOut::List(survivors.into_iter()));
+    }
+    if let Some(hits) = indexed_candidates(ctx, n, step) {
+        return Ok(walk_state(Walker::Listed(hits.into_iter()), step));
     }
     let walker = match step.axis {
         Axis::Child => Walker::Children { parent: n, idx: 0 },
@@ -835,6 +910,10 @@ fn open_node(ctx: &mut DynamicContext, n: NodeRef, step: &PlanAxisStep) -> XdmRe
         Axis::DescendantOrSelf => Walker::Desc { stack: vec![n] },
         _ => unreachable!("walkable axes checked above"),
     };
+    Ok(walk_state(walker, step))
+}
+
+fn walk_state(walker: Walker, step: &PlanAxisStep) -> StepOut {
     let takes = vec![
         0u64;
         step.stages
@@ -842,11 +921,11 @@ fn open_node(ctx: &mut DynamicContext, n: NodeRef, step: &PlanAxisStep) -> XdmRe
             .filter(|s| matches!(s, PredStage::Take(_)))
             .count()
     ];
-    Ok(StepOut::Walk(WalkState {
+    StepOut::Walk(WalkState {
         walker,
         takes,
         closed: false,
-    }))
+    })
 }
 
 /// Incremental enumeration of one context node's candidates.
@@ -868,6 +947,8 @@ enum Walker {
         idx: usize,
     },
     SelfOnce(Option<NodeRef>),
+    /// candidates the attribute index supplied, in document order
+    Listed(std::vec::IntoIter<NodeRef>),
     /// pre-order traversal (seeded with `[self]` for descendant-or-self,
     /// the reversed child list for descendant)
     Desc {
@@ -901,6 +982,7 @@ impl Walker {
                 r
             }
             Walker::SelfOnce(slot) => slot.take(),
+            Walker::Listed(hits) => hits.next(),
             Walker::Desc { stack } => {
                 let n = stack.pop()?;
                 let doc = store.doc(n.doc);
@@ -986,7 +1068,7 @@ fn admit(
                     return Ok(false);
                 }
             }
-            PredStage::Filter(p) => {
+            PredStage::Filter(p) | PredStage::AttrEqVar { pred: p, .. } => {
                 // position-free: the (1, 1) focus is observationally
                 // equivalent for these predicates
                 let keep = ctx.with_focus(Item::Node(c), 1, 1, |ctx| {

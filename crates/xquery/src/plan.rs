@@ -16,9 +16,13 @@
 //! * **predicate pushdown** — predicates are classified into pipeline
 //!   *stages* applied per candidate while the axis enumerates:
 //!   positional takes (`[1]`, `[last()]`), attribute-equality probes
-//!   (`[@id = "x"]`, answered straight off the attribute table), lazy
-//!   position-free filters, and a buffered general tail for everything
-//!   positional.
+//!   (`[@id = "x"]`, answered straight off the attribute table, and
+//!   `[@id = $v]`, a filter that remembers its attribute and variable),
+//!   lazy position-free filters, and a buffered general tail for
+//!   everything positional. When a `descendant::t` step runs from a
+//!   document node and its first stage is a probe, the executor takes its
+//!   candidates from the document's attribute-value index instead of a
+//!   walk (for `$v`, only when it holds one string-like item).
 //! * **early-exit rewrites** — `exists()`, `empty()`, `not()` and `count()`
 //!   over unshadowed `fn:` names become dedicated plan nodes the streaming
 //!   executor can satisfy without draining their operand.
@@ -26,10 +30,15 @@
 //! Direct element constructors lower to [`Plan::Element`], whose enclosed
 //! expressions are plans in their own right; the executor builds the
 //! element through the interpreter's own builder, so a server-rendered
-//! page runs compiled from its root down. Anything the IR does not model
-//! (computed constructors, updates, full-text, type-switch, events, …)
-//! lowers to [`Plan::Fallback`], which the executor hands verbatim to the
-//! interpreter — the plan tier is a fast path, never a second dialect.
+//! page runs compiled from its root down. Scripting blocks lower to
+//! [`Plan::Block`], and a user function's body is lowered once, on its
+//! first compiled call, and kept on its declaration ([`LoweredBody`]):
+//! calls from compiled code and listener invocations run that plan, so
+//! the plug-in's listeners run compiled too. Anything the IR does not
+//! model (computed constructors, updates, full-text, type-switch,
+//! events, …) lowers to [`Plan::Fallback`], which the executor hands
+//! verbatim to the interpreter — the plan tier is a fast path, never a
+//! second dialect.
 //!
 //! # Streaming soundness
 //!
@@ -45,6 +54,7 @@
 //! steps without the flag run as buffered sort barriers inside the lazy
 //! pipeline, exactly reproducing the interpreter's normalisation.
 
+use std::cell::OnceCell;
 use std::rc::Rc;
 
 use xqib_dom::{name::FN_NS, QName};
@@ -54,8 +64,8 @@ use xqib_xdm::{
 };
 
 use crate::ast::{
-    ArithOp, AttrContent, Axis, AxisStep, ElemContent, Expr, FlworClause, KindTest, NodeTest,
-    PathStart, Statement, StepExpr,
+    ArithOp, AttrContent, Axis, AxisStep, ElemContent, Expr, FlworClause, FunctionDecl, KindTest,
+    NodeTest, PathStart, Statement, StepExpr,
 };
 use crate::context::StaticContext;
 use crate::eval::arith::{apply_arith, neg_atomic, range_bounds};
@@ -96,6 +106,34 @@ impl CompiledPlan {
     pub fn static_context(&self) -> &Rc<StaticContext> {
         &self.sctx
     }
+}
+
+/// A user function's lowered body, kept on its [`FunctionDecl`] so it is
+/// lowered on the first compiled call and freed with the static context
+/// that owns the declaration. A clone starts empty: the copy belongs to
+/// another static context, whose function table may lower the body
+/// differently (a user function can shadow an `fn:` early exit).
+#[derive(Default)]
+pub struct LoweredBody(OnceCell<Plan>);
+
+impl Clone for LoweredBody {
+    fn clone(&self) -> Self {
+        LoweredBody::default()
+    }
+}
+
+impl std::fmt::Debug for LoweredBody {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("LoweredBody")
+    }
+}
+
+/// The plan of `decl`'s body, lowered against `sctx` (the static context
+/// that declares it) on first use.
+pub(crate) fn lowered_body<'d>(decl: &'d FunctionDecl, sctx: &StaticContext) -> &'d Plan {
+    decl.lowered
+        .0
+        .get_or_init(|| lower_expr(sctx, &decl.body, &mut PlanStats::default()))
 }
 
 pub(crate) struct PlanGlobal {
@@ -154,6 +192,9 @@ pub(crate) enum Plan {
     /// its enclosed parts evaluated as plans; never folded, because every
     /// evaluation must build new nodes
     Element(Box<ElementPlan>),
+    /// scripting block: its statements run in a scope of their own, with
+    /// pending updates applied between them
+    Block(Vec<PlanStmt>),
     /// anything the IR does not model: evaluated by the interpreter
     Fallback(Rc<Expr>),
 }
@@ -244,6 +285,14 @@ pub(crate) enum PredStage {
     Take(PosTake),
     /// `[@name = "literal"]` answered directly off the attribute table
     AttrEq { name: QName, value: Rc<str> },
+    /// `[@name = $var]` (either operand order): a position-free filter
+    /// whose candidates the attribute index may supply when `$var` holds
+    /// one string-like item at run time
+    AttrEqVar {
+        name: QName,
+        var: QName,
+        pred: PlanPred,
+    },
     /// position-free predicate: tested one candidate at a time
     Filter(PlanPred),
     /// positional tail: buffered per node and applied with true positions,
@@ -255,7 +304,7 @@ impl PredStage {
     pub(crate) fn infallible(&self) -> bool {
         match self {
             PredStage::Take(_) | PredStage::AttrEq { .. } => true,
-            PredStage::Filter(p) => p.infallible,
+            PredStage::Filter(p) | PredStage::AttrEqVar { pred: p, .. } => p.infallible,
             PredStage::General(ps) => ps.iter().all(|p| p.infallible),
         }
     }
@@ -389,6 +438,9 @@ pub(crate) fn lower_expr(sctx: &StaticContext, e: &Expr, stats: &mut PlanStats) 
                 attrs,
                 children,
             }))
+        }
+        Expr::Block(stmts) => {
+            Plan::Block(stmts.iter().map(|s| lower_stmt(sctx, s, stats)).collect())
         }
         other => {
             stats.fallbacks += 1;
@@ -666,6 +718,13 @@ fn lower_stages(sctx: &StaticContext, preds: &[Expr], stats: &mut PlanStats) -> 
             i += 1;
             continue;
         }
+        if let Some((name, var)) = attr_var_pattern(p) {
+            let pred = lower_pred(sctx, p, stats);
+            stages.push(PredStage::AttrEqVar { name, var, pred });
+            stats.pushed_preds += 1;
+            i += 1;
+            continue;
+        }
         let lowered = lower_pred(sctx, p, stats);
         if lowered.positional_free {
             stages.push(PredStage::Filter(lowered));
@@ -714,6 +773,20 @@ fn attr_eq_pattern(e: &Expr) -> Option<(QName, Rc<str>)> {
         return Some((q, v));
     }
     None
+}
+
+/// `[@name = $var]` (either operand order). Whether the attribute index
+/// can answer it is a run-time question — only a single `xs:string` or
+/// `xs:untypedAtomic` value compares as plain string equality — so the
+/// stage keeps the lowered predicate to run on every candidate.
+fn attr_var_pattern(e: &Expr) -> Option<(QName, QName)> {
+    let Expr::GeneralComp(CompOp::Eq, l, r) = e else {
+        return None;
+    };
+    match (&**l, &**r) {
+        (a, Expr::VarRef(v)) | (Expr::VarRef(v), a) => Some((attr_step(a)?, v.clone())),
+        _ => None,
+    }
 }
 
 fn attr_step(e: &Expr) -> Option<QName> {
@@ -1261,6 +1334,62 @@ mod tests {
             _ => panic!("expected a path"),
         }
         assert!(p.stats.pushed_preds >= 1);
+    }
+
+    #[test]
+    fn attr_var_predicate_becomes_probe_stage() {
+        for src in [
+            "let $v := 'x' return //item[@id = $v]",
+            "let $v := 'x' return //item[$v = @id]",
+        ] {
+            let p = plan_of(src);
+            let Plan::Flwor { ret, .. } = body_plan(&p) else {
+                panic!("expected a FLWOR");
+            };
+            let Plan::Path(pp) = &**ret else {
+                panic!("expected a path");
+            };
+            let PlanStep::Axis(ax) = &pp.steps[0] else {
+                panic!("axis step");
+            };
+            assert_eq!(ax.axis, Axis::Descendant, "{src}");
+            assert!(
+                matches!(&ax.stages[0], PredStage::AttrEqVar { name, .. } if &*name.local == "id"),
+                "{src}"
+            );
+            assert!(!pp.lazy, "an untyped-vs-`$v` comparison may raise");
+        }
+        // other variable comparisons stay plain filters
+        let p = plan_of("let $v := 'x' return //item[@id != $v]");
+        let Plan::Flwor { ret, .. } = body_plan(&p) else {
+            panic!("expected a FLWOR");
+        };
+        let Plan::Path(pp) = &**ret else {
+            panic!("expected a path");
+        };
+        let PlanStep::Axis(ax) = &pp.steps[0] else {
+            panic!("axis step");
+        };
+        assert!(matches!(ax.stages[0], PredStage::Filter(_)));
+    }
+
+    #[test]
+    fn function_bodies_lower_once_on_their_declaration() {
+        let q = runtime::compile(
+            "declare function local:f($v) { declare variable $n := 1; //item[@id = $v] };\n\
+             local:f('x')",
+        )
+        .expect("compiles");
+        let name = QName::ns(xqib_dom::name::LOCAL_NS, "f");
+        let decl = q.sctx.lookup_function(&name, 1).expect("declared");
+        let body = lowered_body(&decl, &q.sctx);
+        assert!(matches!(body, Plan::Block(stmts) if stmts.len() == 2));
+        assert!(
+            std::ptr::eq(body, lowered_body(&decl, &q.sctx)),
+            "the second call reuses the first lowering"
+        );
+        let copy = FunctionDecl::clone(&decl);
+        assert!(copy.lowered.0.get().is_none(), "a clone starts empty");
     }
 
     #[test]

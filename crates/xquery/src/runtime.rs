@@ -164,11 +164,12 @@ pub fn render_sequence(ctx: &DynamicContext, seq: &Sequence) -> String {
 }
 
 /// Invokes a (listener) function by name — the plug-in's re-entry point
-/// when the browser dispatches an event (Figure 1's loop). Pending updates
+/// when the browser dispatches an event (Figure 1's loop). A user-declared
+/// listener runs its lowered body through the plan tier. Pending updates
 /// raised by the listener are applied before returning, so the page reflects
 /// the handler's effects.
 pub fn invoke(ctx: &mut DynamicContext, name: &QName, args: Vec<Sequence>) -> XdmResult<Sequence> {
-    let r = eval::call_function(ctx, name, args);
+    let r = eval::dispatch_call(ctx, name, args, crate::exec::run_lowered_body);
     let r = match r {
         Err(e) if e.code == EXIT_CODE => Ok(ctx.exit_value.take().unwrap_or_default()),
         other => other,
