@@ -8,7 +8,7 @@
 //! resharding counters on the cluster. Each stats struct names its
 //! counters next to its fields (a `counters()` list that destructures the
 //! struct exhaustively, so a new field does not compile until it is named),
-//! and [`render`] concatenates those lists into the `/metrics` body.
+//! and `render` concatenates those lists into the `/metrics` body.
 
 use std::fmt::Write as _;
 

@@ -623,18 +623,36 @@ pub fn run_cluster_sim(cfg: &ClusterSimConfig) -> (ClusterReport, Cluster) {
             }
         }
     };
-    // resolve a uri through the (possibly stale) client route cache
-    let resolve = |c: &Cluster, routes: &mut HashMap<String, (u64, usize)>, uri: &str, now: u64| {
-        if cfg.route_refresh_ms == 0 {
-            return c.owner(uri);
-        }
-        match routes.get(uri) {
+    // Serve through the (possibly stale) client route cache. A 421 fence
+    // means the cached route was stale: count and settle the refusal,
+    // re-resolve against the refreshed ring and retry once. Returns the
+    // shard that served.
+    let mut serve = |c: &mut Cluster,
+                     report: &mut ClusterReport,
+                     in_flight: &mut HashMap<u64, usize>,
+                     lat: &mut Vec<u64>,
+                     uri: &str,
+                     url: &str,
+                     now: u64| {
+        let shard = match routes.get(uri) {
+            _ if cfg.route_refresh_ms == 0 => c.owner(uri),
             Some(&(at, shard)) if now < at + cfg.route_refresh_ms => shard,
             _ => {
                 let shard = c.owner(uri);
                 routes.insert(uri.to_string(), (now, shard));
                 shard
             }
+        };
+        match c.serve_at(shard, url, now) {
+            Submitted::Done(done) if done.outcome == ClusterOutcome::Misrouted => {
+                report.fence_refusals += 1;
+                report.reroutes += 1;
+                settle(*done, report, in_flight, lat);
+                let shard = c.owner(uri);
+                routes.insert(uri.to_string(), (now, shard));
+                (shard, c.serve_at(shard, url, now))
+            }
+            submitted => (shard, submitted),
         }
     };
     let (mut un, mut rn) = (0u64, 0u64);
@@ -657,20 +675,15 @@ pub fn run_cluster_sim(cfg: &ClusterSimConfig) -> (ClusterReport, Cluster) {
                 epoch: 0,
             });
             let ix = report.updates.len() - 1;
-            let mut shard = resolve(&c, &mut routes, &uri, now);
-            let mut submitted = c.serve_at(shard, &url, now);
-            // a 421 fence means the route cache was stale: re-resolve
-            // against the refreshed ring and retry once
-            if matches!(&submitted, Submitted::Done(d) if d.outcome == ClusterOutcome::Misrouted) {
-                report.fence_refusals += 1;
-                report.reroutes += 1;
-                if let Submitted::Done(done) = submitted {
-                    settle(*done, &mut report, &mut in_flight, &mut ack_latencies);
-                }
-                shard = c.owner(&uri);
-                routes.insert(uri.clone(), (now, shard));
-                submitted = c.serve_at(shard, &url, now);
-            }
+            let (shard, submitted) = serve(
+                &mut c,
+                &mut report,
+                &mut in_flight,
+                &mut ack_latencies,
+                &uri,
+                &url,
+                now,
+            );
             report.updates[ix].shard = shard;
             report.updates[ix].epoch = c.epoch();
             match submitted {
@@ -692,18 +705,15 @@ pub fn run_cluster_sim(cfg: &ClusterSimConfig) -> (ClusterReport, Cluster) {
         while rn < cfg.read_rps * now / 1000 {
             let uri = format!("d{}.xml", mix64(cfg.seed ^ 0xbead ^ rn) % docs as u64);
             report.issued_reads += 1;
-            let mut shard = resolve(&c, &mut routes, &uri, now);
-            let mut submitted = c.serve_at(shard, &format!("/doc?uri={uri}"), now);
-            if matches!(&submitted, Submitted::Done(d) if d.outcome == ClusterOutcome::Misrouted) {
-                report.fence_refusals += 1;
-                report.reroutes += 1;
-                if let Submitted::Done(done) = submitted {
-                    settle(*done, &mut report, &mut in_flight, &mut ack_latencies);
-                }
-                shard = c.owner(&uri);
-                routes.insert(uri.clone(), (now, shard));
-                submitted = c.serve_at(shard, &format!("/doc?uri={uri}"), now);
-            }
+            let (_, submitted) = serve(
+                &mut c,
+                &mut report,
+                &mut in_flight,
+                &mut ack_latencies,
+                &uri,
+                &format!("/doc?uri={uri}"),
+                now,
+            );
             match submitted {
                 Submitted::Done(done) => {
                     settle(*done, &mut report, &mut in_flight, &mut ack_latencies)

@@ -427,47 +427,60 @@ impl XmlDb {
         src: &str,
         budget: Option<u64>,
     ) -> (XdmResult<String>, u64) {
+        self.run(src, |ctx| {
+            if let Some(budget) = budget {
+                ctx.set_deadline_fuel(budget);
+                ctx.fuel_commit_exempt = true;
+            }
+            Ok(())
+        })
+    }
+
+    /// Runs an XQuery with the context item set to a stored document.
+    pub fn query_doc(&mut self, uri: &str, src: &str) -> XdmResult<String> {
+        self.run(src, |ctx| {
+            let root = {
+                let store = ctx.store.borrow();
+                let id = store.doc_by_uri(uri).ok_or_else(|| {
+                    xqib_xdm::XdmError::new("FODC0002", format!("no document {uri}"))
+                })?;
+                store.root(id)
+            };
+            ctx.focus = Some(xqib_xquery::context::Focus {
+                item: Item::Node(root),
+                position: 1,
+                size: 1,
+            });
+            Ok(())
+        })
+        .0
+    }
+
+    /// The one run step behind every query: compile, `setup` a fresh
+    /// context, run with the journal installed, journal and seal the
+    /// writes, render, free the construction arena. Returns the fuel used.
+    fn run(
+        &mut self,
+        src: &str,
+        setup: impl FnOnce(&mut DynamicContext) -> XdmResult<()>,
+    ) -> (XdmResult<String>, u64) {
         self.evals += 1;
         let exec = match self.executable(src) {
             Ok(e) => e,
             Err(e) => return (Err(e), 0),
         };
         let mut ctx = DynamicContext::new(self.store.clone(), exec.static_context());
-        if let Some(budget) = budget {
-            ctx.set_deadline_fuel(budget);
-            ctx.fuel_commit_exempt = true;
+        if let Err(e) = setup(&mut ctx) {
+            return (Err(e), 0);
         }
-        self.install_journal(&mut ctx);
+        if self.durable.is_some() {
+            ctx.pul_journal = Some(Vec::new());
+        }
         let result = exec.run(&mut ctx);
         self.finish_writes(&mut ctx);
         let result = result.map(|r| runtime::render_sequence(&ctx, &r));
         self.free_construction(&ctx);
         (result, ctx.fuel_used)
-    }
-
-    /// Runs an XQuery with the context item set to a stored document.
-    pub fn query_doc(&mut self, uri: &str, src: &str) -> XdmResult<String> {
-        self.evals += 1;
-        let exec = self.executable(src)?;
-        let mut ctx = DynamicContext::new(self.store.clone(), exec.static_context());
-        let root = {
-            let store = self.store.borrow();
-            let id = store
-                .doc_by_uri(uri)
-                .ok_or_else(|| xqib_xdm::XdmError::new("FODC0002", format!("no document {uri}")))?;
-            store.root(id)
-        };
-        ctx.focus = Some(xqib_xquery::context::Focus {
-            item: Item::Node(root),
-            position: 1,
-            size: 1,
-        });
-        self.install_journal(&mut ctx);
-        let result = exec.run(&mut ctx);
-        self.finish_writes(&mut ctx);
-        let result = result.map(|r| runtime::render_sequence(&ctx, &r));
-        self.free_construction(&ctx);
-        result
     }
 
     /// Resolves `src` to something runnable: a cached (or freshly lowered)
@@ -535,7 +548,7 @@ impl XmlDb {
         Ok(())
     }
 
-    /// Hard checkpoint: commits, then [`Self::checkpoint_memory`]. Skipped
+    /// Hard checkpoint: commits, then `checkpoint_memory`. Skipped
     /// (with an error) if the commit or the snapshot fsync fails — the
     /// previous checkpoint and the log stay authoritative.
     pub fn checkpoint(&mut self) -> Result<(), DiskError> {
@@ -734,12 +747,6 @@ impl XmlDb {
         self.store
             .borrow_mut()
             .replace_document(ctx.construction_doc, Document::new());
-    }
-
-    fn install_journal(&self, ctx: &mut DynamicContext) {
-        if self.durable.is_some() {
-            ctx.pul_journal = Some(Vec::new());
-        }
     }
 
     /// Appends the redo records a query produced — even when the query

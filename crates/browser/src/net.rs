@@ -19,7 +19,7 @@ use std::collections::HashMap;
 pub struct Request {
     pub method: String,
     pub url: String,
-    pub body: Option<String>,
+    pub body: Option<Vec<u8>>,
 }
 
 impl Request {
@@ -31,11 +31,11 @@ impl Request {
         }
     }
 
-    pub fn post(url: &str, body: &str) -> Self {
+    pub fn post(url: &str, body: &[u8]) -> Self {
         Request {
             method: "POST".to_string(),
             url: url.to_string(),
-            body: Some(body.to_string()),
+            body: Some(body.to_vec()),
         }
     }
 
@@ -536,7 +536,7 @@ mod tests {
         assert_eq!(r.query_param("q").as_deref(), Some("New York"));
         assert_eq!(r.query_param("x").as_deref(), Some("1"));
         assert_eq!(r.query_param("nope"), None);
-        let p = Request::post("http://h/", "body");
+        let p = Request::post("http://h/", b"body");
         assert_eq!(p.method, "POST");
     }
 

@@ -29,7 +29,7 @@ pub use disk::{DiskError, DiskStats, StorageFaultPlan, VirtualDisk};
 pub use wal::{ShippedFrame, Wal, WalBreak, WalRecord, WalReplay, WAL_FILE};
 
 /// CRC-32 (IEEE 802.3, reflected) — the frame and snapshot checksum.
-/// Slicing-by-8: eight bytes per step through the const [`CRC_TABLES`].
+/// Slicing-by-8: eight bytes per step through the const `CRC_TABLES`.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc = !0u32;

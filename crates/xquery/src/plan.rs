@@ -5,7 +5,7 @@
 //! small IR on which four rewrites run:
 //!
 //! * **constant folding** — literal arithmetic, comparisons, ranges and
-//!   boolean short-circuits collapse to [`Plan::Const`]. A computation is
+//!   boolean short-circuits collapse to `Plan::Const`. A computation is
 //!   only folded when it *succeeds*; anything that would raise a dynamic
 //!   error (`1 div 0`) is left in place so the error surfaces at run time
 //!   with the same code the interpreter produces.
@@ -27,22 +27,22 @@
 //!   over unshadowed `fn:` names become dedicated plan nodes the streaming
 //!   executor can satisfy without draining their operand.
 //!
-//! Direct element constructors lower to [`Plan::Element`], whose enclosed
+//! Direct element constructors lower to `Plan::Element`, whose enclosed
 //! expressions are plans in their own right; the executor builds the
 //! element through the interpreter's own builder, so a server-rendered
 //! page runs compiled from its root down. Scripting blocks lower to
-//! [`Plan::Block`], and a user function's body is lowered once, on its
+//! `Plan::Block`, and a user function's body is lowered once, on its
 //! first compiled call, and kept on its declaration ([`LoweredBody`]):
 //! calls from compiled code and listener invocations run that plan, so
 //! the plug-in's listeners run compiled too. Anything the IR does not
 //! model (computed constructors, updates, full-text, type-switch,
-//! events, …) lowers to [`Plan::Fallback`], which the executor hands
+//! events, …) lowers to `Plan::Fallback`, which the executor hands
 //! verbatim to the interpreter — the plan tier is a fast path, never a
 //! second dialect.
 //!
 //! # Streaming soundness
 //!
-//! The executor evaluates a [`PathPlan`] lazily only when `lazy` is set.
+//! The executor evaluates a `PathPlan` lazily only when `lazy` is set.
 //! Lowering grants it exactly when every step is an axis step whose
 //! predicate stages are all *statically infallible*: a lazy cursor then
 //! either fails before yielding its first item or on fuel exhaustion, so
@@ -50,7 +50,7 @@
 //! relative to the interpreter's breadth-first walk — and `exists()`-style
 //! early exits are always observationally safe. Per-step `streamed` flags
 //! additionally record whether concatenating per-node axis output preserves
-//! document order (tracked through the static [`Inv`] invariant lattice);
+//! document order (tracked through the static `Inv` invariant lattice);
 //! steps without the flag run as buffered sort barriers inside the lazy
 //! pipeline, exactly reproducing the interpreter's normalisation.
 
